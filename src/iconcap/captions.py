@@ -12,11 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InsufficientRecords, IoFailure, NoResolvableCodes
+from .errors import (
+    DuplicateId, InsufficientRecords, IoFailure, NoResolvableCodes,
+)
 from .iconclass import (
     AnnotationRecord,
     CorrelateStore,
@@ -81,26 +82,15 @@ class BuildReport:
         }
 
 
-def _resolve_codes(
-    record: AnnotationRecord,
-    store: CorrelateStore,
-    parent_fallback: bool,
-) -> tuple[list[str], int]:
-    """Correlates for the record's codes in order, plus the miss count."""
-    texts: list[str] = []
-    misses = 0
-    for code in record.codes:
-        try:
-            notation = parse_notation(code)
-        except MalformedNotation:
-            misses += 1
-            continue
-        text = correlate(notation, store, parent_fallback=parent_fallback)
-        if text is None:
-            misses += 1
-        else:
-            texts.append(text)
-    return texts, misses
+def _resolve_code(
+    code: str, store: CorrelateStore, parent_fallback: bool
+) -> str | None:
+    """The code's correlate; None when it is malformed or misses the store."""
+    try:
+        notation = parse_notation(code)
+    except MalformedNotation:
+        return None
+    return correlate(notation, store, parent_fallback=parent_fallback)
 
 
 def build_raw(
@@ -114,7 +104,8 @@ def build_raw(
     chain when ``parent_fallback`` is set).  Raises NoResolvableCodes when
     nothing resolves.
     """
-    texts, _ = _resolve_codes(record, store, parent_fallback)
+    found = (_resolve_code(code, store, parent_fallback) for code in record.codes)
+    texts = [text for text in found if text is not None]
     if not texts:
         raise NoResolvableCodes(
             f"no code of {record.image_id!r} resolves to a correlate"
@@ -179,10 +170,6 @@ def clean_description(raw: str, cfg: CleaningConfig | None = None) -> str:
     return s
 
 
-def _clean_worker(args: tuple[str, CleaningConfig]) -> str:
-    return clean_description(*args)
-
-
 def build_dataset(
     annotations: list[AnnotationRecord],
     store: CorrelateStore,
@@ -193,38 +180,35 @@ def build_dataset(
     """One CaptionRecord (split unset) per annotation with a non-empty clean.
 
     Annotations whose codes all miss the store, or whose cleaned text is
-    empty, are dropped and counted in the report.
+    empty, are dropped and counted in the report.  Distinct codes and raw
+    descriptions are resolved and cleaned once; ``jobs`` is accepted and
+    ignored (the build is serial).
     """
     cfg = cfg or CleaningConfig()
     report = BuildReport(input=len(annotations))
-
-    raws: list[tuple[AnnotationRecord, str]] = []
+    resolved: dict[str, str | None] = {}
+    cleaned: dict[str, str] = {}
+    records: list[CaptionRecord] = []
     for record in annotations:
-        texts, misses = _resolve_codes(record, store, parent_fallback)
-        report.unresolved_codes += misses
+        texts: list[str] = []
+        for code in record.codes:
+            if code not in resolved:
+                resolved[code] = _resolve_code(code, store, parent_fallback)
+            text = resolved[code]
+            if text is None:
+                report.unresolved_codes += 1
+            else:
+                texts.append(text)
         if not texts:
             report.dropped_empty += 1
             continue
-        raws.append((record, ", ".join(texts)))
-
-    if jobs > 1 and len(raws) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cleans = list(
-                pool.map(
-                    _clean_worker,
-                    [(raw, cfg) for _, raw in raws],
-                    chunksize=256,
-                )
-            )
-    else:
-        cleans = [clean_description(raw, cfg) for _, raw in raws]
-
-    records: list[CaptionRecord] = []
-    for (record, raw), clean in zip(raws, cleans):
-        if not clean:
+        raw = ", ".join(texts)
+        if raw not in cleaned:
+            cleaned[raw] = clean_description(raw, cfg)
+        if not cleaned[raw]:
             report.dropped_empty += 1
             continue
-        records.append(CaptionRecord(record.image_id, raw, clean))
+        records.append(CaptionRecord(record.image_id, raw, cleaned[raw]))
     report.kept = len(records)
     return records, report
 
@@ -242,6 +226,7 @@ def assign_splits(
     ``"<seed>:<image_id>"`` (ties broken by id), so the assignment depends
     only on the id set and the seed, never on input order.  The first
     ``n_test`` records become test, the next ``n_val`` val, the rest train.
+    Raises DuplicateId when an image id occurs twice.
     """
     if cfg.n_val + cfg.n_test > len(records):
         raise InsufficientRecords(
@@ -251,6 +236,9 @@ def assign_splits(
     permuted = sorted(
         records, key=lambda r: (_shuffle_key(cfg.seed, r.image_id), r.image_id)
     )
+    for a, b in zip(permuted, permuted[1:]):  # equal ids sort adjacent
+        if a.image_id == b.image_id:
+            raise DuplicateId(a.image_id)
     out = []
     for idx, record in enumerate(permuted):
         if idx < cfg.n_test:

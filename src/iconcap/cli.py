@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -46,8 +45,14 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="present metric scores multiplied by 100")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress logs on stderr")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker pool size for parallel stages")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted and ignored: every stage runs serially")
+
+
+def _non_negative_int(text: str) -> int:
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,8 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="assign deterministic train/val/test splits")
     p.add_argument("--in", dest="infile", required=True, metavar="JSONL")
-    p.add_argument("--val", type=int, required=True, metavar="N")
-    p.add_argument("--test", type=int, required=True, metavar="N")
+    p.add_argument("--val", type=_non_negative_int, required=True, metavar="N")
+    p.add_argument("--test", type=_non_negative_int, required=True, metavar="N")
     p.add_argument("--out", required=True, metavar="JSONL")
     p.add_argument("--export-dir", metavar="DIR",
                    help="also write train/val/test caption files here")
@@ -166,8 +171,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         dedup=not args.no_dedup,
     )
     records, report = build_dataset(
-        annotations, store, cfg,
-        parent_fallback=args.parent_fallback, jobs=args.jobs,
+        annotations, store, cfg, parent_fallback=args.parent_fallback
     )
     count = write_records_jsonl(records, args.out)
     _log(args, f"wrote {count} caption records to {args.out}")
@@ -194,9 +198,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    config = EvalConfig(
-        strip_punctuation=not args.keep_punctuation, jobs=args.jobs
-    )
+    config = EvalConfig(strip_punctuation=not args.keep_punctuation)
     report = evaluate(args.candidates, args.references, config)
     report.meta = {"tool_version": __version__, "config": _resolved_config(args)}
     text = report.to_json(x100=args.x100)

@@ -22,7 +22,6 @@ import io
 import json
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -344,7 +343,8 @@ def _cosine(
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     dot = sum(v * b[g] for g, v in a.items() if g in b)
-    return dot / (norm_a * norm_b)
+    # rounding can lift an exact match a few ulps above 1
+    return min(1.0, dot / (norm_a * norm_b))
 
 
 def cider(pairs: list[EvalPair], max_n: int = 4) -> tuple[list[float], float]:
@@ -394,6 +394,8 @@ def cider(pairs: list[EvalPair], max_n: int = 4) -> tuple[list[float], float]:
 
 @dataclass(frozen=True)
 class EvalConfig:
+    """Metric parameters; ``jobs`` is accepted and ignored (serial scoring)."""
+
     max_n: int = 4
     smoothing_epsilon: float = DEFAULT_SMOOTHING_EPSILON
     rouge_beta: float = DEFAULT_ROUGE_BETA
@@ -466,48 +468,48 @@ def load_caption_map(path: str | Path) -> dict[str, str]:
     return captions
 
 
-def _score_pair(
-    args: tuple[EvalPair, EvalConfig],
-) -> dict[str, object]:
-    pair, config = args
-    row: dict[str, object] = {"image_id": pair.image_id}
-    clipped, totals, cand_len, ref_len = _bleu_stats(
-        pair.candidate, pair.references, config.max_n
-    )
-    for n in range(1, config.max_n + 1):
-        row[f"bleu{n}"] = _bleu_from_stats(
-            clipped, totals, cand_len, ref_len, n, config.smoothing_epsilon
-        )
-    row["meteor"] = meteor(
-        pair, config.meteor_alpha, config.meteor_gamma, config.meteor_theta
-    )
-    row["rouge_l"] = rouge_l(pair, config.rouge_beta)
-    return row
-
-
 def evaluate_pairs(
     pairs: list[EvalPair], config: EvalConfig | None = None
 ) -> MetricReport:
-    """Score already-tokenized pairs; :func:`evaluate` is the file front end."""
+    """Score already-tokenized pairs; :func:`evaluate` is the file front end.
+
+    Corpus BLEU sums the BLEU statistics counted once per pair.
+    """
     config = config or EvalConfig()
     if not pairs:
         raise EmptyCorpus("evaluation over zero pairs")
     pairs = sorted(pairs, key=lambda p: p.image_id)
+    max_n, epsilon = config.max_n, config.smoothing_epsilon
 
-    work = [(pair, config) for pair in pairs]
-    if config.jobs > 1 and len(pairs) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_score_pair, work, chunksize=64))
-    else:
-        rows = [_score_pair(item) for item in work]
+    clipped_sum, totals_sum = [0] * max_n, [0] * max_n
+    cand_len_sum = ref_len_sum = 0
+    rows: list[dict[str, object]] = []
+    for pair in pairs:
+        stats = _bleu_stats(pair.candidate, pair.references, max_n)
+        row: dict[str, object] = {"image_id": pair.image_id}
+        for n in range(1, max_n + 1):
+            row[f"bleu{n}"] = _bleu_from_stats(*stats, n, epsilon)
+        clipped, totals, cand_len, ref_len = stats
+        for i in range(max_n):
+            clipped_sum[i] += clipped[i]
+            totals_sum[i] += totals[i]
+        cand_len_sum += cand_len
+        ref_len_sum += ref_len
+        row["meteor"] = meteor(
+            pair, config.meteor_alpha, config.meteor_gamma, config.meteor_theta
+        )
+        row["rouge_l"] = rouge_l(pair, config.rouge_beta)
+        rows.append(row)
 
-    cider_scores, cider_corpus = cider(pairs, config.max_n)
+    cider_scores, cider_corpus = cider(pairs, max_n)
     for row, score in zip(rows, cider_scores):
         row["cider"] = score
 
-    corpus: dict[str, float] = {}
-    for n in range(1, config.max_n + 1):
-        corpus[f"bleu{n}"] = corpus_bleu(pairs, n, config.smoothing_epsilon)
+    corpus_stats = (clipped_sum, totals_sum, cand_len_sum, ref_len_sum)
+    corpus = {
+        f"bleu{n}": _bleu_from_stats(*corpus_stats, n, epsilon)
+        for n in range(1, max_n + 1)
+    }
     corpus["meteor"] = sum(r["meteor"] for r in rows) / len(rows)
     corpus["rouge_l"] = sum(r["rouge_l"] for r in rows) / len(rows)
     corpus["cider"] = cider_corpus

@@ -11,6 +11,7 @@ from iconcap import (
     CaptionRecord,
     CleaningConfig,
     CorrelateStore,
+    DuplicateId,
     InsufficientRecords,
     NoResolvableCodes,
     SplitConfig,
@@ -174,6 +175,17 @@ class TestBuildDataset:
         assert len(records) == 1
         assert report.unresolved_codes == 1
 
+    def test_repeated_unresolved_codes_counted_per_occurrence(self):
+        annotations = [
+            AnnotationRecord("a.jpg", ("73", "99", "73(")),
+            AnnotationRecord("b.jpg", ("99", "73(")),
+            AnnotationRecord("c.jpg", ("25", "99", "99")),
+        ]
+        records, report = build_dataset(annotations, STORE)
+        assert [r.image_id for r in records] == ["a.jpg", "c.jpg"]
+        assert report.unresolved_codes == 6
+        assert report.dropped_empty == 1
+
     def test_parallel_matches_serial(self):
         serial, _ = build_dataset(self._annotations(), STORE, jobs=1)
         parallel, _ = build_dataset(self._annotations(), STORE, jobs=2)
@@ -185,6 +197,11 @@ def _records(ids):
 
 
 class TestAssignSplits:
+    def test_duplicate_id_rejected(self):
+        with pytest.raises(DuplicateId):
+            assign_splits(_records(["a", "a", "b"]),
+                          SplitConfig(seed=0, n_val=1, n_test=1))
+
     def test_counts_and_partition(self):
         records = _records([f"img{i:03}" for i in range(20)])
         out = assign_splits(records, SplitConfig(seed=7, n_val=3, n_test=4))

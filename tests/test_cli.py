@@ -38,6 +38,27 @@ class TestExitCodes:
                     "--references", str(refs)]) == 1
         assert "missing.jsonl" in capsys.readouterr().err
 
+    def test_split_duplicate_id_is_domain_error(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        records.write_text("".join(
+            json.dumps({"image_id": i, "caption": f"{i}."}) + "\n"
+            for i in ("a", "a", "b")
+        ))
+        out = tmp_path / "split.jsonl"
+        assert run(["split", "--in", str(records), "--val", "1",
+                    "--test", "1", "--out", str(out), "--quiet"]) == 1
+        assert "duplicate image id 'a'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("val,test", [("-1", "0"), ("0", "-1")])
+    def test_split_negative_count_is_usage_error(self, tmp_path, val, test):
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"image_id": "a", "caption": "a."}\n')
+        out = tmp_path / "split.jsonl"
+        assert run(["split", "--in", str(records), "--val", val,
+                    "--test", test, "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 def run_pipeline(tmp_path, workdir, seed=11):
     ann, tsv = write_corpus(tmp_path, n_images=40, seed=3)

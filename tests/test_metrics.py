@@ -265,6 +265,16 @@ class TestCider:
         with pytest.raises(EmptyCorpus):
             cider([])
 
+    def test_exact_match_never_exceeds_ten(self):
+        # unclamped, rounding put both cosines a few ulps above 1
+        texts = ["boat child river tree ship sea tree",
+                 "child mary child river boat mary cat mary"]
+        pairs = [pair(t.split(), [t.split()], f"img{i}")
+                 for i, t in enumerate(texts)]
+        scores, corpus = cider(pairs)
+        assert max(scores) <= 10.0
+        assert corpus <= 10.0
+
     def test_permutation_invariance(self):
         pairs = [
             pair(["a", "b"], [["a", "c"]], "one"),
@@ -296,8 +306,8 @@ def test_metric_ranges(corpus_spec):
         assert 0.0 <= rouge_l(p) <= 1.0
         assert 0.0 <= meteor(p) <= 1.0
     scores, corpus = cider(pairs)
-    assert all(0.0 <= s <= 10.0 + 1e-9 for s in scores)
-    assert 0.0 <= corpus <= 10.0 + 1e-9
+    assert all(0.0 <= s <= 10.0 for s in scores)
+    assert 0.0 <= corpus <= 10.0
     for n in range(1, 5):
         assert 0.0 <= corpus_bleu(pairs, max_n=n) <= 1.0
 
@@ -422,6 +432,20 @@ class TestEvaluate:
         parallel = evaluate(cands, refs, EvalConfig(jobs=2))
         assert serial.corpus == parallel.corpus
         assert serial.examples == parallel.examples
+
+    def test_corpus_bleu_matches_reference_implementation(self):
+        rng = random.Random(23)
+        vocab = ["sea", "ship", "boat", "king", "palace", "saint", "tree"]
+        pairs = [
+            pair(rng.choices(vocab, k=rng.randint(0, 9)),
+                 [rng.choices(vocab, k=rng.randint(1, 9))
+                  for _ in range(rng.randint(1, 3))],
+                 f"img{i}")
+            for i in range(60)
+        ]
+        report = evaluate_pairs(pairs)
+        for n in range(1, 5):
+            assert report.corpus[f"bleu{n}"] == corpus_bleu(pairs, n)
 
     def test_corpus_meteor_rouge_are_means(self, tmp_path):
         cands = tmp_path / "c.jsonl"
