@@ -10,14 +10,11 @@ permutation over sorted image ids.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import (
-    DuplicateId, InsufficientRecords, IoFailure, NoResolvableCodes,
-)
+from .errors import DuplicateId, InsufficientRecords, NoResolvableCodes
 from .iconclass import (
     AnnotationRecord,
     CorrelateStore,
@@ -25,8 +22,7 @@ from .iconclass import (
     correlate,
     parse_notation,
 )
-
-SPLITS = ("train", "val", "test")
+from .jsonl import read_captions, write_captions
 
 
 @dataclass
@@ -266,66 +262,24 @@ def export_jsonl(
         r for r in records if split_filter is None or r.split == split_filter
     ]
     selected.sort(key=lambda r: r.image_id)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in selected:
-                fh.write(
-                    json.dumps(
-                        {
-                            "image_id": record.image_id,
-                            "caption": record.clean_description,
-                        },
-                        ensure_ascii=False,
-                    )
-                )
-                fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_captions(
+        path, ((r.image_id, r.clean_description, None) for r in selected)
+    )
     return len(selected)
 
 
 def write_records_jsonl(records: list[CaptionRecord], path: str | Path) -> int:
     """Write full records (with split when set) sorted by id."""
     ordered = sorted(records, key=lambda r: r.image_id)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in ordered:
-                row: dict[str, str] = {
-                    "image_id": record.image_id,
-                    "caption": record.clean_description,
-                }
-                if record.split is not None:
-                    row["split"] = record.split
-                fh.write(json.dumps(row, ensure_ascii=False))
-                fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_captions(
+        path, ((r.image_id, r.clean_description, r.split) for r in ordered)
+    )
     return len(ordered)
 
 
 def read_records_jsonl(path: str | Path) -> list[CaptionRecord]:
     """Read caption records (``image_id``/``caption``, optional ``split``)."""
-    records = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise IoFailure(
-                        f"{path}: line {lineno} is not valid JSON: {exc}"
-                    ) from exc
-                records.append(
-                    CaptionRecord(
-                        image_id=str(row["image_id"]),
-                        raw_description="",
-                        clean_description=str(row.get("caption", "")),
-                        split=row.get("split"),
-                    )
-                )
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    return records
+    return [
+        CaptionRecord(image_id, "", caption, split)
+        for image_id, caption, split in read_captions(path)
+    ]

@@ -31,8 +31,9 @@ from .captions import (
     read_records_jsonl,
     write_records_jsonl,
 )
-from .errors import IconcapError
+from .errors import IconcapError, IoFailure
 from .iconclass import CorrelateStore, load_annotations, parse_notation
+from .jsonl import read_captions, write_atomic, write_captions
 from .metrics import EvalConfig, evaluate, load_caption_map
 
 
@@ -141,7 +142,7 @@ def _emit_report(args: argparse.Namespace, payload: dict[str, object]) -> None:
                "config": _resolved_config(args), **payload}
     text = json.dumps(payload, ensure_ascii=False, indent=2)
     if args.report:
-        Path(args.report).write_text(text + "\n", encoding="utf-8")
+        write_atomic(args.report, [text, "\n"])
     else:
         print(text, file=sys.stderr)
 
@@ -203,12 +204,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report.meta = {"tool_version": __version__, "config": _resolved_config(args)}
     text = report.to_json(x100=args.x100)
     if args.report:
-        Path(args.report).write_text(text + "\n", encoding="utf-8")
+        write_atomic(args.report, [text, "\n"])
         _log(args, f"wrote report to {args.report}")
     else:
         print(text)
     if args.csv:
-        Path(args.csv).write_text(report.to_csv(x100=args.x100), encoding="utf-8")
+        write_atomic(args.csv, [report.to_csv(x100=args.x100)])
         _log(args, f"wrote per-example CSV to {args.csv}")
     scale = 100.0 if args.x100 else 1.0
     summary = " ".join(
@@ -223,7 +224,7 @@ def _cmd_analyze_genres(args: argparse.Namespace) -> int:
     genres = load_genre_csv(args.genres)
     records = join_genres(captions, genres)
     distribution = genre_distribution(records, args.k, args.unit)
-    Path(args.out).write_text(distribution.to_csv(), encoding="utf-8")
+    write_atomic(args.out, [distribution.to_csv()])
     _log(args, f"wrote {len(distribution.phrases)} phrases x "
                f"{len(distribution.genres)} genres to {args.out}")
     _emit_report(args, {
@@ -242,20 +243,17 @@ def _cmd_analyze_lengths(args: argparse.Namespace) -> int:
 
 
 def _read_test_ids(path: str) -> list[str]:
-    ids = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("{"):
-                row = json.loads(line)
-                if row.get("split") not in (None, "test"):
-                    continue
-                ids.append(str(row["image_id"]))
-            else:
-                ids.append(line)
-    return ids
+    # caption records (test split when marked) when the first non-blank
+    # line starts with "{", else one id per line
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"cannot read {path}: not UTF-8: {exc}") from exc
+    if not lines or not lines[0].startswith("{"):
+        return lines
+    return [image_id for image_id, _, split in read_captions(path)
+            if split in (None, "test")]
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
@@ -264,12 +262,8 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         records = [r for r in records if r.split == "train"]
     test_ids = _read_test_ids(args.ids)
     pairs = frequency_baseline(records, test_ids)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for image_id, caption in pairs:
-            fh.write(json.dumps(
-                {"image_id": image_id, "caption": caption}, ensure_ascii=False
-            ))
-            fh.write("\n")
+    write_captions(args.out, ((image_id, caption, None)
+                              for image_id, caption in pairs))
     _log(args, f"wrote {len(pairs)} baseline candidates to {args.out}")
     return 0
 
@@ -296,7 +290,7 @@ def run(argv: list[str] | None = None) -> int:
         else (args.command, args.analysis)
     try:
         return _HANDLERS[key](args)
-    except (IconcapError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (IconcapError, OSError) as exc:
         print(f"iconcap {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

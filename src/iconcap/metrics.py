@@ -25,7 +25,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DuplicateId, EmptyCorpus, IoFailure, MissingReference
+from .errors import DuplicateId, EmptyCorpus, MissingReference
+from .jsonl import read_captions
 
 PUNCTUATION = set(".,:;!?'\"()-")
 
@@ -447,24 +448,10 @@ class MetricReport:
 def load_caption_map(path: str | Path) -> dict[str, str]:
     """Read a ``{"image_id", "caption"}`` JSONL file into an id-keyed map."""
     captions: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise IoFailure(
-                        f"{path}: line {lineno} is not valid JSON: {exc}"
-                    ) from exc
-                image_id = str(row["image_id"])
-                if image_id in captions:
-                    raise DuplicateId(image_id)
-                captions[image_id] = str(row.get("caption", ""))
-    except OSError as exc:
-        raise IoFailure(f"cannot read captions {path}: {exc}") from exc
+    for image_id, caption, _ in read_captions(path):
+        if image_id in captions:
+            raise DuplicateId(image_id)
+        captions[image_id] = caption
     return captions
 
 

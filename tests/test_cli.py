@@ -60,6 +60,78 @@ class TestExitCodes:
         assert not out.exists()
 
 
+def _argv_reading(command, bad, tmp_path):
+    """Arguments that make ``command`` read the caption file ``bad``."""
+    good = tmp_path / "good.jsonl"
+    good.write_text('{"image_id": "a", "caption": "sea."}\n')
+    out = str(tmp_path / "out.jsonl")
+    return {
+        "eval": ["eval", "--candidates", str(bad), "--references", str(good)],
+        "split": ["split", "--in", str(bad), "--val", "0", "--test", "0",
+                  "--out", out],
+        "lengths": ["analyze", "lengths", "--captions", str(bad)],
+        "baseline": ["baseline", "--train", str(good), "--ids", str(bad),
+                     "--out", out],
+    }[command] + ["--quiet"]
+
+
+class TestMalformedCaptions:
+    @pytest.mark.parametrize("command,lines,fragments", [
+        ("eval", ["[1,2]"], ["line 1"]),
+        ("split", ["[1,2]"], ["line 1"]),
+        ("lengths", ["[1,2]"], ["line 1"]),
+        ("eval", ['{"image_id": "a", "caption": "x"}', '{"caption": "x"}'],
+         ["line 2", "'image_id'"]),
+        ("baseline", ['{"image_id": "a"}', '{"image_id": '], ["line 2"]),
+        ("split", ['{"image_id": "a", "caption": "x", "split": "bogus"}'],
+         ["line 1", "'split'"]),
+    ], ids=["eval-array", "split-array", "lengths-array", "eval-missing-id",
+            "baseline-ids-invalid-json", "split-bogus-split"])
+    def test_domain_error_names_file_line_and_key(
+        self, tmp_path, capsys, command, lines, fragments
+    ):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(line + "\n" for line in lines))
+        assert run(_argv_reading(command, bad, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "bad.jsonl" in err
+        for fragment in fragments:
+            assert fragment in err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_ids_not_utf8_is_domain_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"a\xff\n")
+        assert run(_argv_reading("baseline", bad, tmp_path)) == 1
+        assert "bad.txt: not UTF-8" in capsys.readouterr().err
+
+    def test_unencodable_caption_keeps_old_output(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"image_id": "a", "caption": "\\ud800"}\n')
+        out = tmp_path / "split.jsonl"
+        out.write_bytes(b'{"image_id": "old"}\n')
+        assert run(["split", "--in", str(records), "--val", "0",
+                    "--test", "0", "--out", str(out), "--quiet"]) == 1
+        assert "split.jsonl" in capsys.readouterr().err
+        assert out.read_bytes() == b'{"image_id": "old"}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "records.jsonl", "split.jsonl",
+        ]
+
+    def test_ids_form_decided_by_first_line(self, tmp_path):
+        train = tmp_path / "train.jsonl"
+        train.write_text('{"image_id": "t", "caption": "sea."}\n')
+        ids = tmp_path / "ids.txt"
+        ids.write_text("\nb\n{a}\n")
+        out = tmp_path / "cands.jsonl"
+        assert run(["baseline", "--train", str(train), "--ids", str(ids),
+                    "--out", str(out), "--quiet"]) == 0
+        assert out.read_text() == (
+            '{"image_id": "b", "caption": "sea."}\n'
+            '{"image_id": "{a}", "caption": "sea."}\n'
+        )
+
+
 def run_pipeline(tmp_path, workdir, seed=11):
     ann, tsv = write_corpus(tmp_path, n_images=40, seed=3)
     workdir.mkdir(exist_ok=True)
