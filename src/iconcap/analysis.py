@@ -146,6 +146,10 @@ def load_genre_csv(path: str | Path) -> dict[str, str]:
                     genres[image_id] = genre
     except OSError as exc:
         raise IoFailure(f"cannot read genre table {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IoFailure(
+            f"cannot read genre table {path}: not UTF-8: {exc}"
+        ) from exc
     return genres
 
 

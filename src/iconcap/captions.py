@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DuplicateId, InsufficientRecords, NoResolvableCodes
@@ -51,6 +51,9 @@ class CleaningConfig:
     uppercase_stoplist: tuple[str, ...] = ("BB",)
     drop_etc: bool = True
     dedup: bool = True
+    _stoplist_res: tuple[re.Pattern, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for entry in self.uppercase_stoplist:
@@ -58,6 +61,11 @@ class CleaningConfig:
                 raise ValueError(
                     f"stoplist entry {entry!r} must be 1-4 uppercase letters"
                 )
+        # compiled once per config, not once per cleaned string
+        object.__setattr__(self, "_stoplist_res", tuple(
+            re.compile(r"\s*-\s*" + re.escape(token) + r"\s*-\s*")
+            for token in self.uppercase_stoplist
+        ))
 
 
 @dataclass
@@ -123,8 +131,8 @@ def _clean_pass(raw: str, cfg: CleaningConfig) -> str:
     s = s.replace("(", "").replace(")", "")
     # 2. uppercase marker runs; the surrounding " - " delimiters collapse
     # into the ", " list separator (see the golden pairs)
-    for token in cfg.uppercase_stoplist:
-        s = re.sub(r"\s*-\s*" + re.escape(token) + r"\s*-\s*", ", ", s)
+    for stoplist_re in cfg._stoplist_res:
+        s = stoplist_re.sub(", ", s)
     # 3. literal ", etc." occurrences
     if cfg.drop_etc:
         s = s.replace(", etc.", "")
@@ -281,5 +289,5 @@ def read_records_jsonl(path: str | Path) -> list[CaptionRecord]:
     """Read caption records (``image_id``/``caption``, optional ``split``)."""
     return [
         CaptionRecord(image_id, "", caption, split)
-        for image_id, caption, split in read_captions(path)
+        for _, image_id, caption, split in read_captions(path)
     ]

@@ -252,7 +252,7 @@ def _read_test_ids(path: str) -> list[str]:
         raise IoFailure(f"cannot read {path}: not UTF-8: {exc}") from exc
     if not lines or not lines[0].startswith("{"):
         return lines
-    return [image_id for image_id, _, split in read_captions(path)
+    return [image_id for _, image_id, _, split in read_captions(path)
             if split in (None, "test")]
 
 

@@ -47,10 +47,14 @@ class MissingReference(IconcapError):
 
 
 class DuplicateId(IconcapError):
-    """An image id occurred more than once in a JSONL file."""
+    """An image id occurred more than once in a JSONL file.
 
-    def __init__(self, image_id: str):
-        super().__init__(f"duplicate image id {image_id!r}")
+    ``where`` names the file and line of the repeat, when known.
+    """
+
+    def __init__(self, image_id: str, where: str | None = None):
+        message = f"duplicate image id {image_id!r}"
+        super().__init__(f"{where}: {message}" if where else message)
         self.image_id = image_id
 
 

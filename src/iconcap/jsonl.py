@@ -25,6 +25,7 @@ from .errors import IoFailure, SchemaViolation
 SPLITS = ("train", "val", "test")
 
 CaptionRow = tuple[str, str, str | None]  # (image_id, caption, split)
+NumberedRow = tuple[int, str, str, str | None]  # (line, *CaptionRow)
 
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
 _DECODE = json.JSONDecoder().decode  # json.loads without its per-call checks
@@ -40,9 +41,10 @@ def _bad_key(row: dict, key: str, expected: str) -> str:
     return f"key {key!r} must be {expected}, got {json.dumps(row[key])}"
 
 
-def read_captions(path: str | Path) -> Iterator[CaptionRow]:
-    """Yield each line of a caption file as ``(image_id, caption, split)``.
+def read_captions(path: str | Path) -> Iterator[NumberedRow]:
+    """Yield each row of a caption file as ``(line, image_id, caption, split)``.
 
+    ``line`` is the row's 1-based line number, for messages about it.
     Raises SchemaViolation naming the path, the line and the key of the
     first malformed line, and IoFailure when the file cannot be read.
     """
@@ -74,7 +76,7 @@ def read_captions(path: str | Path) -> Iterator[CaptionRow]:
                 if split is not None and split not in SPLITS:
                     raise _violation(path, lineno, _bad_key(
                         row, "split", "one of train, val, test"))
-                yield image_id, caption, split
+                yield lineno, image_id, caption, split
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -13,6 +13,17 @@ its tolerance.
 
 Scores are kept in natural scale: BLEU, METEOR and ROUGE-L in [0, 1],
 CIDEr in [0, 10].  Reports offer a x100 presentation mode.
+
+Each caption is cooked once per pair: :func:`_ngram_counts` counts orders
+1..max_n in one call, and BLEU's clipped counts, the corpus BLEU sums and
+CIDEr's TF-IDF vectors and norms all read those counts.  CIDEr's document
+frequencies are a separate first pass over the references, since IDF must
+be complete before any pair is scored.  METEOR stems each token once
+through a token -> stem memo; :func:`evaluate_pairs` shares one memo over
+the whole call.  Every memo lives for one call only, and no n-gram count
+outlives its pair, so no corpus-wide count table is ever held.  The public
+scorers are thin wrappers over the same per-pair kernels, and every float
+sum runs in a fixed order, so reports are byte-identical run to run.
 """
 
 from __future__ import annotations
@@ -21,6 +32,8 @@ import csv
 import io
 import json
 import math
+import operator
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,25 +52,15 @@ DEFAULT_METEOR_THETA = 0.2
 METRIC_NAMES = ("bleu1", "bleu2", "bleu3", "bleu4", "meteor", "rouge_l", "cider")
 
 
+# a punctuation character, or a run of characters that are neither
+# whitespace nor punctuation; re's \s agrees with str.isspace
+_PUNCT = re.escape("".join(sorted(PUNCTUATION)))
+_TOKEN_RE = re.compile(rf"[{_PUNCT}]|[^\s{_PUNCT}]+")
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase and split; punctuation characters become standalone tokens."""
-    tokens: list[str] = []
-    word: list[str] = []
-    for ch in text.lower():
-        if ch in PUNCTUATION:
-            if word:
-                tokens.append("".join(word))
-                word = []
-            tokens.append(ch)
-        elif ch.isspace():
-            if word:
-                tokens.append("".join(word))
-                word = []
-        else:
-            word.append(ch)
-    if word:
-        tokens.append("".join(word))
-    return tokens
+    return _TOKEN_RE.findall(text.lower())
 
 
 def strip_punctuation_tokens(tokens: list[str]) -> list[str]:
@@ -90,8 +93,26 @@ class EvalPair:
 # BLEU
 # ---------------------------------------------------------------------------
 
-def _ngram_counts(tokens: tuple[str, ...], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens: tuple[str, ...], max_n: int) -> list[Counter]:
+    """N-gram counts of every order 1..max_n; entry ``n - 1`` holds order n.
+
+    Each Counter keeps the n-grams in order of first occurrence, the order
+    CIDEr's float sums run in.
+    """
+    return [
+        Counter(zip(*[tokens[i:] for i in range(n)]))
+        for n in range(1, max_n + 1)
+    ]
+
+
+def _pair_counts(
+    pair: EvalPair, max_n: int
+) -> tuple[list[Counter], list[list[Counter]]]:
+    """The candidate's and each reference's counts, one pass per caption."""
+    return (
+        _ngram_counts(pair.candidate, max_n),
+        [_ngram_counts(ref, max_n) for ref in pair.references],
+    )
 
 
 def _closest_ref_len(cand_len: int, refs: tuple[tuple[str, ...], ...]) -> int:
@@ -100,28 +121,25 @@ def _closest_ref_len(cand_len: int, refs: tuple[tuple[str, ...], ...]) -> int:
 
 
 def _bleu_stats(
-    candidate: tuple[str, ...],
-    references: tuple[tuple[str, ...], ...],
-    max_n: int,
+    pair: EvalPair, cand_counts: list[Counter], ref_counts: list[list[Counter]],
 ) -> tuple[list[int], list[int], int, int]:
     """Clipped and total n-gram counts plus candidate/closest-ref lengths."""
+    max_n = len(cand_counts)
     clipped = [0] * max_n
     totals = [0] * max_n
-    for n in range(1, max_n + 1):
-        cand_counts = _ngram_counts(candidate, n)
-        if not cand_counts:
+    for n, cand in enumerate(cand_counts):
+        if not cand:
             continue
-        max_ref: Counter = Counter()
-        for ref in references:
-            for gram, count in _ngram_counts(ref, n).items():
-                if count > max_ref[gram]:
-                    max_ref[gram] = count
-        totals[n - 1] = sum(cand_counts.values())
-        clipped[n - 1] = sum(
-            min(count, max_ref.get(gram, 0))
-            for gram, count in cand_counts.items()
+        # clip by the largest count of the gram in any one reference
+        max_ref = ref_counts[0][n]
+        for counts in ref_counts[1:]:
+            max_ref = max_ref | counts[n]
+        totals[n] = sum(cand.values())
+        clipped[n] = sum(
+            min(count, max_ref.get(gram, 0)) for gram, count in cand.items()
         )
-    return clipped, totals, len(candidate), _closest_ref_len(len(candidate), references)
+    cand_len = len(pair.candidate)
+    return clipped, totals, cand_len, _closest_ref_len(cand_len, pair.references)
 
 
 def _bleu_from_stats(
@@ -151,12 +169,8 @@ def bleu(
     Zero precisions (including orders longer than the candidate) are
     replaced by ``smoothing_epsilon``.  An empty candidate scores 0.
     """
-    clipped, totals, cand_len, ref_len = _bleu_stats(
-        pair.candidate, pair.references, max_n
-    )
-    return _bleu_from_stats(
-        clipped, totals, cand_len, ref_len, max_n, smoothing_epsilon
-    )
+    stats = _bleu_stats(pair, *_pair_counts(pair, max_n))
+    return _bleu_from_stats(*stats, max_n, smoothing_epsilon)
 
 
 def corpus_bleu(
@@ -173,7 +187,7 @@ def corpus_bleu(
     ref_len_sum = 0
     for pair in pairs:
         clipped, totals, cand_len, ref_len = _bleu_stats(
-            pair.candidate, pair.references, max_n
+            pair, *_pair_counts(pair, max_n)
         )
         for n in range(max_n):
             clipped_sum[n] += clipped[n]
@@ -247,9 +261,22 @@ def light_stem(word: str) -> str:
     return word
 
 
+def _stems(tokens: tuple[str, ...], memo: dict[str, str]) -> list[str]:
+    """Each token's :func:`light_stem`, computed once per token per memo."""
+    out = []
+    for token in tokens:
+        stem = memo.get(token)
+        if stem is None:
+            stem = memo[token] = light_stem(token)
+        out.append(stem)
+    return out
+
+
 def _align(
     candidate: tuple[str, ...],
     reference: tuple[str, ...],
+    cand_stems: list[str],
+    ref_stems: list[str],
     synonyms: dict[str, set[str]] | None,
 ) -> list[tuple[int, int]]:
     """Greedy unigram alignment: exact, then stem, then synonym-table stage."""
@@ -257,22 +284,23 @@ def _align(
     ref_free = [True] * len(reference)
     matches: list[tuple[int, int]] = []
 
-    def run_stage(equal) -> None:
-        for i, c_tok in enumerate(candidate):
+    def run_stage(cand_keys, ref_keys, equal=operator.eq) -> None:
+        for i, c_key in enumerate(cand_keys):
             if not cand_free[i]:
                 continue
-            for j, r_tok in enumerate(reference):
-                if ref_free[j] and equal(c_tok, r_tok):
+            for j, r_key in enumerate(ref_keys):
+                if ref_free[j] and equal(c_key, r_key):
                     cand_free[i] = False
                     ref_free[j] = False
                     matches.append((i, j))
                     break
 
-    run_stage(lambda c, r: c == r)
-    run_stage(lambda c, r: light_stem(c) == light_stem(r))
+    run_stage(candidate, reference)
+    run_stage(cand_stems, ref_stems)
     if synonyms:
         run_stage(
-            lambda c, r: r in synonyms.get(c, ()) or c in synonyms.get(r, ())
+            candidate, reference,
+            lambda c, r: r in synonyms.get(c, ()) or c in synonyms.get(r, ()),
         )
     matches.sort()
     return matches
@@ -284,6 +312,35 @@ def _count_chunks(matches: list[tuple[int, int]]) -> int:
         if i1 != i0 + 1 or j1 != j0 + 1:
             chunks += 1
     return chunks
+
+
+def _meteor(
+    pair: EvalPair, stem_memo: dict[str, str],
+    alpha: float, gamma: float, theta: float,
+    synonyms: dict[str, set[str]] | None,
+) -> float:
+    if not pair.candidate:
+        return 0.0
+    cand_stems = _stems(pair.candidate, stem_memo)
+    best = 0.0
+    for ref in pair.references:
+        if not ref:
+            continue
+        matches = _align(pair.candidate, ref, cand_stems,
+                         _stems(ref, stem_memo), synonyms)
+        m = len(matches)
+        if m == 0:
+            continue
+        precision = m / len(pair.candidate)
+        recall = m / len(ref)
+        f_mean = (precision * recall) / (
+            alpha * precision + (1 - alpha) * recall
+        )
+        penalty = gamma * (_count_chunks(matches) / m) ** theta
+        score = f_mean * (1 - penalty)
+        if score > best:
+            best = score
+    return best
 
 
 def meteor(
@@ -300,52 +357,64 @@ def meteor(
     score = F*(1-penalty).  Zero when nothing aligns.  ``synonyms`` is an
     optional match table for a third alignment stage; none ships.
     """
-    if not pair.candidate:
-        return 0.0
-    best = 0.0
-    for ref in pair.references:
-        if not ref:
-            continue
-        matches = _align(pair.candidate, ref, synonyms)
-        m = len(matches)
-        if m == 0:
-            continue
-        precision = m / len(pair.candidate)
-        recall = m / len(ref)
-        f_mean = (precision * recall) / (
-            alpha * precision + (1 - alpha) * recall
-        )
-        penalty = gamma * (_count_chunks(matches) / m) ** theta
-        score = f_mean * (1 - penalty)
-        if score > best:
-            best = score
-    return best
+    return _meteor(pair, {}, alpha, gamma, theta, synonyms)
 
 
 # ---------------------------------------------------------------------------
 # CIDEr
 # ---------------------------------------------------------------------------
 
-def _tfidf_vector(
-    tokens: tuple[str, ...], n: int, idf: dict[tuple[str, ...], float]
-) -> dict[tuple[str, ...], float]:
-    # raw counts as TF, weighted by corpus IDF
-    return {
-        gram: count * idf.get(gram, 0.0)
-        for gram, count in _ngram_counts(tokens, n).items()
+def _cider_idf(
+    pairs: list[EvalPair], max_n: int
+) -> tuple[dict[tuple[str, ...], float], float]:
+    """IDF of every reference n-gram, and the IDF of an unseen n-gram.
+
+    A first pass over the references: IDF must be complete before any
+    pair is scored.
+    """
+    doc_freq: Counter = Counter()
+    for pair in pairs:
+        grams: set[tuple[str, ...]] = set()
+        for ref in pair.references:
+            for counts in _ngram_counts(ref, max_n):
+                grams.update(counts)
+        doc_freq.update(grams)
+    n_images = len(pairs)
+    idf = {
+        gram: math.log(n_images / max(1, df)) for gram, df in doc_freq.items()
     }
+    # candidate-only n-grams never appear in any reference: df floor of 1
+    return idf, math.log(n_images)
 
 
-def _cosine(
-    a: dict[tuple[str, ...], float], b: dict[tuple[str, ...], float]
+def _norm(vec: dict[tuple[str, ...], float]) -> float:
+    return math.sqrt(sum(v * v for v in vec.values()))
+
+
+def _cider_score(
+    cand_counts: list[Counter], ref_counts: list[list[Counter]],
+    idf: dict[tuple[str, ...], float], idf_default: float,
 ) -> float:
-    norm_a = math.sqrt(sum(v * v for v in a.values()))
-    norm_b = math.sqrt(sum(v * v for v in b.values()))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    dot = sum(v * b[g] for g, v in a.items() if g in b)
-    # rounding can lift an exact match a few ulps above 1
-    return min(1.0, dot / (norm_a * norm_b))
+    """10 times the mean over orders of the mean candidate-reference cosine."""
+    total = 0.0
+    for n, cand in enumerate(cand_counts):
+        # raw counts as TF, weighted by corpus IDF
+        cand_vec = {gram: count * idf.get(gram, idf_default)
+                    for gram, count in cand.items()}
+        cand_norm = _norm(cand_vec)
+        sim = 0.0
+        for counts in ref_counts:
+            ref_vec = {gram: count * idf[gram]
+                       for gram, count in counts[n].items()}
+            ref_norm = _norm(ref_vec)
+            if cand_norm == 0.0 or ref_norm == 0.0:
+                continue
+            dot = sum(v * ref_vec[g]
+                      for g, v in cand_vec.items() if g in ref_vec)
+            # rounding can lift an exact match a few ulps above 1
+            sim += min(1.0, dot / (cand_norm * ref_norm))
+        total += sim / len(ref_counts)
+    return 10.0 * total / len(cand_counts)
 
 
 def cider(pairs: list[EvalPair], max_n: int = 4) -> tuple[list[float], float]:
@@ -359,33 +428,11 @@ def cider(pairs: list[EvalPair], max_n: int = 4) -> tuple[list[float], float]:
     """
     if not pairs:
         raise EmptyCorpus("CIDEr over zero pairs")
-    n_images = len(pairs)
-    doc_freq: Counter = Counter()
-    for pair in pairs:
-        grams: set[tuple[str, ...]] = set()
-        for ref in pair.references:
-            for n in range(1, max_n + 1):
-                grams.update(_ngram_counts(ref, n))
-        doc_freq.update(grams)
-    idf = {
-        gram: math.log(n_images / max(1, df)) for gram, df in doc_freq.items()
-    }
-    # candidate-only n-grams never appear in any reference: df floor of 1
-    idf_default = math.log(n_images)
-
-    scores = []
-    for pair in pairs:
-        total = 0.0
-        for n in range(1, max_n + 1):
-            cand_vec = {
-                gram: count * idf.get(gram, idf_default)
-                for gram, count in _ngram_counts(pair.candidate, n).items()
-            }
-            sim = 0.0
-            for ref in pair.references:
-                sim += _cosine(cand_vec, _tfidf_vector(ref, n, idf))
-            total += sim / len(pair.references)
-        scores.append(10.0 * total / max_n)
+    idf, idf_default = _cider_idf(pairs, max_n)
+    scores = [
+        _cider_score(*_pair_counts(pair, max_n), idf, idf_default)
+        for pair in pairs
+    ]
     return scores, sum(scores) / len(scores)
 
 
@@ -448,9 +495,9 @@ class MetricReport:
 def load_caption_map(path: str | Path) -> dict[str, str]:
     """Read a ``{"image_id", "caption"}`` JSONL file into an id-keyed map."""
     captions: dict[str, str] = {}
-    for image_id, caption, _ in read_captions(path):
+    for lineno, image_id, caption, _ in read_captions(path):
         if image_id in captions:
-            raise DuplicateId(image_id)
+            raise DuplicateId(image_id, f"{path}: line {lineno}")
         captions[image_id] = caption
     return captions
 
@@ -460,19 +507,25 @@ def evaluate_pairs(
 ) -> MetricReport:
     """Score already-tokenized pairs; :func:`evaluate` is the file front end.
 
-    Corpus BLEU sums the BLEU statistics counted once per pair.
+    One loop over the pairs counts each caption's n-grams once and feeds
+    per-pair BLEU, the corpus BLEU sums and CIDEr from those counts; CIDEr's
+    IDF comes from a first pass over the references.  METEOR's stems come
+    from one token -> stem memo shared by the whole call.
     """
     config = config or EvalConfig()
     if not pairs:
         raise EmptyCorpus("evaluation over zero pairs")
     pairs = sorted(pairs, key=lambda p: p.image_id)
     max_n, epsilon = config.max_n, config.smoothing_epsilon
+    idf, idf_default = _cider_idf(pairs, max_n)
+    stem_memo: dict[str, str] = {}
 
     clipped_sum, totals_sum = [0] * max_n, [0] * max_n
     cand_len_sum = ref_len_sum = 0
     rows: list[dict[str, object]] = []
     for pair in pairs:
-        stats = _bleu_stats(pair.candidate, pair.references, max_n)
+        cand_counts, ref_counts = _pair_counts(pair, max_n)
+        stats = _bleu_stats(pair, cand_counts, ref_counts)
         row: dict[str, object] = {"image_id": pair.image_id}
         for n in range(1, max_n + 1):
             row[f"bleu{n}"] = _bleu_from_stats(*stats, n, epsilon)
@@ -482,15 +535,13 @@ def evaluate_pairs(
             totals_sum[i] += totals[i]
         cand_len_sum += cand_len
         ref_len_sum += ref_len
-        row["meteor"] = meteor(
-            pair, config.meteor_alpha, config.meteor_gamma, config.meteor_theta
+        row["meteor"] = _meteor(
+            pair, stem_memo, config.meteor_alpha, config.meteor_gamma,
+            config.meteor_theta, None,
         )
         row["rouge_l"] = rouge_l(pair, config.rouge_beta)
+        row["cider"] = _cider_score(cand_counts, ref_counts, idf, idf_default)
         rows.append(row)
-
-    cider_scores, cider_corpus = cider(pairs, max_n)
-    for row, score in zip(rows, cider_scores):
-        row["cider"] = score
 
     corpus_stats = (clipped_sum, totals_sum, cand_len_sum, ref_len_sum)
     corpus = {
@@ -499,7 +550,7 @@ def evaluate_pairs(
     }
     corpus["meteor"] = sum(r["meteor"] for r in rows) / len(rows)
     corpus["rouge_l"] = sum(r["rouge_l"] for r in rows) / len(rows)
-    corpus["cider"] = cider_corpus
+    corpus["cider"] = sum(r["cider"] for r in rows) / len(rows)
     return MetricReport(corpus=corpus, examples=rows)
 
 

@@ -50,6 +50,17 @@ class TestExitCodes:
         assert "duplicate image id 'a'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_eval_duplicate_id_names_file_and_line(self, tmp_path, capsys):
+        dup = tmp_path / "dup.jsonl"
+        dup.write_text('{"image_id": "a", "caption": "x"}\n\n'
+                       '{"image_id": "a", "caption": "y"}\n')
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text('{"image_id": "a", "caption": "x"}\n')
+        assert run(["eval", "--candidates", str(dup),
+                    "--references", str(refs), "--quiet"]) == 1
+        assert f"{dup}: line 3: duplicate image id 'a'" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("val,test", [("-1", "0"), ("0", "-1")])
     def test_split_negative_count_is_usage_error(self, tmp_path, val, test):
         records = tmp_path / "records.jsonl"
@@ -234,6 +245,18 @@ class TestAnalyze:
         lines = out.read_text().splitlines()
         assert lines[0] == "phrase,marine"
         assert "sea,2" in lines
+
+    def test_genres_not_utf8_is_domain_error(self, tmp_path, capsys):
+        captions = tmp_path / "caps.jsonl"
+        captions.write_text('{"image_id": "a", "caption": "sea."}\n')
+        genres = tmp_path / "genres.csv"
+        genres.write_bytes(b"a,\xff\n")
+        out = tmp_path / "dist.csv"
+        assert run(["analyze", "genres", "--captions", str(captions),
+                    "--genres", str(genres), "--out", str(out),
+                    "--quiet"]) == 1
+        assert "genres.csv: not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_genres_empty_join_is_domain_error(self, tmp_path):
         captions = tmp_path / "caps.jsonl"

@@ -19,7 +19,7 @@ class TestReadCaptions:
     def test_rows_with_defaults_and_blank_lines(self, tmp_path):
         rows = _read(tmp_path, '\n{"image_id": "a", "caption": "sea."}\n'
                                '  \n{"image_id": 7, "split": "test"}\n')
-        assert rows == [("a", "sea.", None), ("7", "", "test")]
+        assert rows == [(2, "a", "sea.", None), (4, "7", "", "test")]
 
     @pytest.mark.parametrize("line,key", [
         ('{"image_id": null, "caption": "x"}', "image_id"),

@@ -1,9 +1,11 @@
 """Scorer unit tests, independent oracles, and metric invariants."""
 
+import hashlib
 import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -24,11 +26,47 @@ from iconcap import (
     rouge_l,
     tokenize,
 )
-from iconcap.metrics import light_stem, strip_punctuation_tokens
+from iconcap import metrics
+from iconcap.cli import run
+from iconcap.metrics import PUNCTUATION, light_stem, strip_punctuation_tokens
+from synth import write_corpus
 
 
 def pair(cand, refs, image_id="img"):
     return EvalPair(image_id, tuple(cand), tuple(tuple(r) for r in refs))
+
+
+def random_pairs(seed, count):
+    """Seeded pairs with 1-3 references each; some candidates are empty."""
+    rng = random.Random(seed)
+    vocab = ["sea", "ship", "boat", "king", "palace", "saint", "tree"]
+    return [
+        pair(rng.choices(vocab, k=rng.randint(0, 9)),
+             [rng.choices(vocab, k=rng.randint(1, 9))
+              for _ in range(rng.randint(1, 3))],
+             f"img{i}")
+        for i in range(count)
+    ]
+
+
+def loop_tokenize(text):
+    """Reference tokenizer: the character loop that ``tokenize`` replaced."""
+    tokens, word = [], []
+    for ch in text.lower():
+        if ch in PUNCTUATION:
+            if word:
+                tokens.append("".join(word))
+                word = []
+            tokens.append(ch)
+        elif ch.isspace():
+            if word:
+                tokens.append("".join(word))
+                word = []
+        else:
+            word.append(ch)
+    if word:
+        tokens.append("".join(word))
+    return tokens
 
 
 def brute_force_lcs(a, b):
@@ -67,6 +105,19 @@ class TestTokenize:
 
     def test_strip_punctuation_tokens(self):
         assert strip_punctuation_tokens(["a", ".", "-", "b"]) == ["a", "b"]
+
+    @settings(max_examples=500)
+    @given(st.text() | st.text(alphabet=st.sampled_from(
+        sorted(PUNCTUATION)
+        + list(" \t\n\x0b\x1c\x85\xa0\u2028\u3000aZ\u0130"))))
+    def test_matches_loop_oracle(self, text):
+        assert tokenize(text) == loop_tokenize(text)
+
+    def test_every_code_point_splits_as_the_loop_does(self):
+        # a code point that re's \s and str.isspace classify differently
+        # would end a word in one tokenizer and not in the other
+        text = "".join(map(chr, range(0x110000)))
+        assert tokenize(text) == loop_tokenize(text)
 
 
 class TestBleu:
@@ -434,15 +485,7 @@ class TestEvaluate:
         assert serial.examples == parallel.examples
 
     def test_corpus_bleu_matches_reference_implementation(self):
-        rng = random.Random(23)
-        vocab = ["sea", "ship", "boat", "king", "palace", "saint", "tree"]
-        pairs = [
-            pair(rng.choices(vocab, k=rng.randint(0, 9)),
-                 [rng.choices(vocab, k=rng.randint(1, 9))
-                  for _ in range(rng.randint(1, 3))],
-                 f"img{i}")
-            for i in range(60)
-        ]
+        pairs = random_pairs(23, 60)
         report = evaluate_pairs(pairs)
         for n in range(1, 5):
             assert report.corpus[f"bleu{n}"] == corpus_bleu(pairs, n)
@@ -482,3 +525,93 @@ class TestEvaluate:
         ]
         report = evaluate_pairs(pairs)
         assert [r["image_id"] for r in report.examples] == ["aaa", "zzz"]
+
+
+class TestSinglePass:
+    """evaluate_pairs counts each caption once and equals the public scorers."""
+
+    def test_rows_equal_public_scorers(self):
+        pairs = random_pairs(31, 80)
+        assert any(not p.candidate for p in pairs)
+        assert any(len(p.references) > 1 for p in pairs)
+        report = evaluate_pairs(pairs)
+        ordered = sorted(pairs, key=lambda p: p.image_id)
+        cider_scores, cider_corpus = cider(ordered)
+        for p, row, cider_score in zip(ordered, report.examples, cider_scores):
+            expected = {"image_id": p.image_id}
+            for n in range(1, 5):
+                expected[f"bleu{n}"] = bleu(p, max_n=n)
+            expected["meteor"] = meteor(p)
+            expected["rouge_l"] = rouge_l(p)
+            expected["cider"] = cider_score
+            assert list(row.items()) == list(expected.items())
+        rows = report.examples
+        assert report.corpus == {
+            **{f"bleu{n}": corpus_bleu(pairs, n) for n in range(1, 5)},
+            "meteor": sum(r["meteor"] for r in rows) / len(rows),
+            "rouge_l": sum(r["rouge_l"] for r in rows) / len(rows),
+            "cider": cider_corpus,
+        }
+
+    def test_light_stem_once_per_distinct_token(self, monkeypatch):
+        pairs = random_pairs(37, 80)
+        calls = Counter()
+        real = metrics.light_stem
+
+        def counting(word):
+            calls[word] += 1
+            return real(word)
+
+        monkeypatch.setattr(metrics, "light_stem", counting)
+        evaluate_pairs(pairs)
+        assert set(calls) == {token for p in pairs if p.candidate
+                              for tokens in (p.candidate, *p.references)
+                              for token in tokens}
+        assert max(calls.values()) == 1
+
+    def test_ngrams_counted_once_per_caption_per_pair(self, monkeypatch):
+        pairs = random_pairs(41, 80)
+        calls = []
+        real = metrics._ngram_counts
+
+        def counting(tokens, max_n):
+            calls.append(tokens)
+            return real(tokens, max_n)
+
+        monkeypatch.setattr(metrics, "_ngram_counts", counting)
+        evaluate_pairs(pairs)
+        references = [r for p in sorted(pairs, key=lambda p: p.image_id)
+                      for r in p.references]
+        # the IDF pass reads every reference, then the scoring loop reads
+        # every caption of each pair once
+        assert calls[:len(references)] == references
+        assert len(calls) == 2 * len(references) + len(pairs)
+
+    def test_frozen_report_digest(self, tmp_path):
+        # recorded before the single-pass scorer replaced the per-metric
+        # passes; any change to a score's bytes or row order shows here
+        ann, tsv = write_corpus(tmp_path, n_images=300, seed=17)
+        records = tmp_path / "records.jsonl"
+        assert run(["build", "--annotations", str(ann), "--correlates",
+                    str(tsv), "--out", str(records), "--quiet",
+                    "--report", str(tmp_path / "build.json")]) == 0
+        rng = random.Random(41)
+        cands = []
+        for line in records.read_text().splitlines():
+            row = json.loads(line)
+            words = row["caption"].split()
+            roll = rng.random()
+            if roll < 0.05:
+                words = []
+            elif roll < 0.6:
+                rng.shuffle(words)
+                words = words[:rng.randint(1, len(words))]
+            cands.append({"image_id": row["image_id"],
+                          "caption": " ".join(words)})
+        write_jsonl(tmp_path / "cands.jsonl", cands)
+        report = evaluate(tmp_path / "cands.jsonl", records)
+        assert sum(not c["caption"] for c in cands) == 14
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == \
+            "1495cbc5e8a309a0696a258270b6de2f2ec507aae499be42807a382910ecb6db"
+        assert hashlib.sha256(report.to_csv().encode()).hexdigest() == \
+            "7eb65856a1e87d2c0db991949882d46999f05e40b7b7cc92107a5a6b9f31471d"
