@@ -31,7 +31,7 @@ from .captions import (
     read_records_jsonl,
     write_records_jsonl,
 )
-from .errors import IconcapError, IoFailure
+from .errors import DuplicateId, IconcapError, IoFailure
 from .iconclass import CorrelateStore, load_annotations, parse_notation
 from .jsonl import read_captions, write_atomic, write_captions
 from .metrics import EvalConfig, evaluate, load_caption_map
@@ -56,6 +56,20 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _stoplist_token(text: str) -> str:
+    try:
+        CleaningConfig(uppercase_stoplist=(text,))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iconcap",
@@ -75,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="JSONL")
     p.add_argument("--parent-fallback", action="store_true",
                    help="resolve missing codes through their parent chain")
-    p.add_argument("--stoplist", action="append", metavar="TOKEN",
+    p.add_argument("--stoplist", action="append", type=_stoplist_token,
+                   metavar="TOKEN",
                    help="uppercase marker to delete (repeatable; default BB)")
     p.add_argument("--keep-etc", action="store_true",
                    help="do not delete ', etc.' occurrences")
@@ -106,7 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g = ana.add_parser("genres", help="caption-unit by genre cross-tabulation")
     g.add_argument("--captions", required=True, metavar="JSONL")
     g.add_argument("--genres", required=True, metavar="CSV")
-    g.add_argument("--k", type=int, default=20, help="top units to keep")
+    g.add_argument("--k", type=_positive_int, default=20,
+                   help="top units to keep")
     g.add_argument("--unit", choices=("segment", "whole_caption"),
                    default="segment")
     g.add_argument("--out", required=True, metavar="CSV")
@@ -183,7 +199,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_split(args: argparse.Namespace) -> int:
     records = read_records_jsonl(args.infile)
     cfg = SplitConfig(seed=args.seed, n_val=args.val, n_test=args.test)
-    records = assign_splits(records, cfg)
+    try:
+        records = assign_splits(records, cfg)
+    except DuplicateId:
+        # records carry no line numbers; a second read names the file and
+        # the line of the first repeat, at no cost to a valid input
+        load_caption_map(args.infile)
+        raise
     write_records_jsonl(records, args.out)
     _log(args, f"wrote {len(records)} split records to {args.out}")
     if args.export_dir:

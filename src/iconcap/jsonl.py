@@ -7,6 +7,16 @@ A caption file holds one JSON object per line, blank lines skipped:
 - ``caption``: a string, ``""`` when absent;
 - ``split``: ``"train"``, ``"val"`` or ``"test"``, absent until assigned.
 
+The reader accepts any JSON that ``json.loads`` accepts on a line.  The
+writer lays out every line the same way, the bytes of ``json.dumps(row,
+ensure_ascii=False)`` plus ``"\n"``::
+
+    {"image_id": "<id>", "caption": "<caption>", "split": "<split>"}
+
+keys in that order, ``", "`` between members, ``": "`` after each key, no
+``split`` member while the split is unset, and non-ASCII characters
+written as they are (only ``"``, ``\\`` and control characters escaped).
+
 Every file the package writes, JSONL or not, goes through
 :func:`write_atomic`, so a failed run never leaves a truncated file.
 """
@@ -27,8 +37,12 @@ SPLITS = ("train", "val", "test")
 CaptionRow = tuple[str, str, str | None]  # (image_id, caption, split)
 NumberedRow = tuple[int, str, str, str | None]  # (line, *CaptionRow)
 
-_ENCODER = json.JSONEncoder(ensure_ascii=False)
-_DECODE = json.JSONDecoder().decode  # json.loads without its per-call checks
+# the C string encoder and C scanner behind json.dumps(ensure_ascii=False)
+# and json.loads, called without their per-call Python layers
+_ENCODE = json.encoder.encode_basestring
+_SCAN = json.JSONDecoder().scan_once
+_DECODE = json.JSONDecoder().decode
+_LINE_ENDS = ("", "\n")
 
 
 def _violation(path: str | Path, lineno: int, message: str) -> SchemaViolation:
@@ -52,13 +66,22 @@ def read_captions(path: str | Path) -> Iterator[NumberedRow]:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 try:
-                    row = _DECODE(line)
-                except json.JSONDecodeError as exc:
-                    if not line.strip():
-                        continue
-                    raise _violation(path, lineno, f"not valid JSON: "
-                                     f"{exc.msg} at column {exc.pos + 1}") \
-                        from None
+                    row, end = _SCAN(line, 0)
+                    whole = line[end:] in _LINE_ENDS
+                except (StopIteration, json.JSONDecodeError):
+                    whole = False
+                if not whole:
+                    # leading or trailing whitespace, trailing data, a blank
+                    # line or invalid JSON: json.loads' own path gives the
+                    # row or the message and column
+                    try:
+                        row = _DECODE(line)
+                    except json.JSONDecodeError as exc:
+                        if not line.strip():
+                            continue
+                        raise _violation(path, lineno, f"not valid JSON: "
+                                         f"{exc.msg} at column "
+                                         f"{exc.pos + 1}") from None
                 if type(row) is not dict:
                     raise _violation(path, lineno, "expected a JSON object, "
                                                    f"got {json.dumps(row)}")
@@ -87,10 +110,13 @@ def write_captions(path: str | Path, rows: Iterable[CaptionRow]) -> None:
     """Write ``(image_id, caption, split)`` rows, omitting an unset split."""
     def lines() -> Iterator[str]:
         for image_id, caption, split in rows:
-            row = {"image_id": image_id, "caption": caption}
-            if split is not None:
-                row["split"] = split
-            yield _ENCODER.encode(row) + "\n"
+            if split is None:
+                yield (f'{{"image_id": {_ENCODE(image_id)}, '
+                       f'"caption": {_ENCODE(caption)}}}\n')
+            else:
+                yield (f'{{"image_id": {_ENCODE(image_id)}, '
+                       f'"caption": {_ENCODE(caption)}, '
+                       f'"split": {_ENCODE(split)}}}\n')
 
     write_atomic(path, lines())
 

@@ -47,7 +47,18 @@ class TestExitCodes:
         out = tmp_path / "split.jsonl"
         assert run(["split", "--in", str(records), "--val", "1",
                     "--test", "1", "--out", str(out), "--quiet"]) == 1
-        assert "duplicate image id 'a'" in capsys.readouterr().err
+        assert f"{records}: line 2: duplicate image id 'a'" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("token", ["bb", "ABCDE", "B1"])
+    def test_build_bad_stoplist_is_usage_error(self, tmp_path, capsys, token):
+        ann, tsv = write_corpus(tmp_path, n_images=3)
+        out = tmp_path / "records.jsonl"
+        assert run(["build", "--annotations", str(ann), "--correlates",
+                    str(tsv), "--out", str(out), "--stoplist", token]) == 2
+        assert f"stoplist entry {token!r} must be 1-4 uppercase letters" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_eval_duplicate_id_names_file_and_line(self, tmp_path, capsys):
@@ -256,6 +267,19 @@ class TestAnalyze:
                     "--genres", str(genres), "--out", str(out),
                     "--quiet"]) == 1
         assert "genres.csv: not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_genres_k_below_one_is_usage_error(self, tmp_path, capsys, k):
+        captions = tmp_path / "caps.jsonl"
+        captions.write_text('{"image_id": "a", "caption": "sea."}\n')
+        genres = tmp_path / "genres.csv"
+        genres.write_text("image_id,genre\na,marine\n")
+        out = tmp_path / "dist.csv"
+        assert run(["analyze", "genres", "--captions", str(captions),
+                    "--genres", str(genres), "--k", k,
+                    "--out", str(out), "--quiet"]) == 2
+        assert "expected an integer >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_genres_empty_join_is_domain_error(self, tmp_path):

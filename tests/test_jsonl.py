@@ -1,12 +1,151 @@
 """The caption JSONL reader's schema and the atomic writer."""
 
+import hashlib
+import json
 import os
 import stat
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from iconcap import IoFailure, SchemaViolation
-from iconcap.jsonl import read_captions, write_atomic, write_captions
+from iconcap.cli import run
+from iconcap.jsonl import SPLITS, read_captions, write_atomic, write_captions
+from synth import write_corpus
+
+_DECODE = json.JSONDecoder().decode
+
+
+def reference_read_captions(path):
+    """The reader as it was before the scanner fast path: every line goes
+    through ``JSONDecoder.decode``; kept as the oracle for the fast path."""
+    def violation(lineno, message):
+        return SchemaViolation(f"{path}: line {lineno}: {message}")
+
+    def bad_key(row, key, expected):
+        if key not in row:
+            return f"key {key!r} is missing"
+        return f"key {key!r} must be {expected}, got {json.dumps(row[key])}"
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                try:
+                    row = _DECODE(line)
+                except json.JSONDecodeError as exc:
+                    if not line.strip():
+                        continue
+                    raise violation(lineno, f"not valid JSON: {exc.msg} "
+                                            f"at column {exc.pos + 1}") \
+                        from None
+                if type(row) is not dict:
+                    raise violation(lineno, "expected a JSON object, "
+                                            f"got {json.dumps(row)}")
+                image_id = row.get("image_id")
+                if type(image_id) is not str:
+                    if type(image_id) is not int:
+                        raise violation(lineno, bad_key(
+                            row, "image_id", "a string or an integer"))
+                    image_id = str(image_id)
+                caption = row.get("caption", "")
+                if type(caption) is not str:
+                    raise violation(lineno, bad_key(row, "caption", "a string"))
+                split = row.get("split")
+                if split is not None and split not in SPLITS:
+                    raise violation(lineno, bad_key(
+                        row, "split", "one of train, val, test"))
+                yield lineno, image_id, caption, split
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"cannot read {path}: not UTF-8: {exc}") from exc
+
+
+def outcome(reader, path):
+    """The rows ``reader`` yields before it stops, and how it stops."""
+    rows = []
+    try:
+        for row in reader(path):
+            rows.append(row)
+    except (SchemaViolation, IoFailure) as exc:
+        return rows, type(exc), str(exc)
+    return rows, None, None
+
+
+# quotes, backslashes, control characters, the line separators that JSON
+# allows raw in a string, a byte order mark, non-BMP and non-ASCII text
+SPECIALS = ['"', "\\", "\x00", "\x1f", "\x7f", "\b", "\f", "\n", "\r",
+            "\t", "\u2028", "\u2029", "\U0001f600", "\U0010ffff", "é", "ß",
+            "\ufeff", "/", "{", "}"]
+text = st.text(st.characters(blacklist_categories=("Cs",))
+               | st.sampled_from(SPECIALS), max_size=30)
+
+json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | text
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(text, inner, max_size=3),
+    max_leaves=4,
+)
+
+
+valid_rows = st.fixed_dictionaries(
+    {"image_id": text | st.integers(), "caption": text},
+    optional={"split": st.sampled_from(SPLITS)},
+)
+whitespace = st.sampled_from(["", "", " ", "\t", " \t"])
+
+
+@st.composite
+def caption_objects(draw):
+    """A JSON object, most often a valid caption row."""
+    row = {"image_id": draw(text | st.integers()), "caption": draw(text)}
+    if draw(st.booleans()):
+        row["split"] = draw(st.sampled_from(SPLITS))
+    if not draw(st.integers(0, 3)):  # one member missing, extra or ill-typed
+        key = draw(st.sampled_from(["image_id", "caption", "split", "extra"]))
+        row.pop(key, None)
+        if draw(st.booleans()):
+            row[key] = draw(json_value)
+    keys = draw(st.permutations(list(row)))
+    return {key: row[key] for key in keys}
+
+
+@st.composite
+def caption_lines(draw):
+    """One line of a caption file, with its line end (or none)."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        body = draw(st.sampled_from([
+            "", " ", "\t", "NaN", "-Infinity", "null", "[1, 2]", '"a"',
+            "{", "}", '{"image_id": "a"', "{'image_id': 'a'}", "[" * 40,
+            '{"image_id": "a",}', '{"image_id": "a"}{}', "\ufeff{}",
+        ]))
+    else:
+        value = draw(json_value) if kind == 1 else draw(caption_objects())
+        compact = draw(st.booleans())
+        body = json.dumps(value, ensure_ascii=draw(st.booleans()),
+                          separators=(",", ":") if compact else None)
+        body = draw(whitespace) + body + draw(st.sampled_from([
+            "", " ", "\t", "\u2028", "\u00a0", "x", " 1", "{}",
+        ]))
+    return body + draw(st.sampled_from(["\n", "\r\n", "\r", ""]))
+
+
+@st.composite
+def caption_files(draw):
+    """Valid rows and blank lines in any whitespace and line-end layout,
+    then one line that may be anything, so that the valid lines are all
+    read before a bad last line ends the read."""
+    lines = []
+    for row in draw(st.lists(valid_rows | st.none(), max_size=5)):
+        body = "" if row is None else json.dumps(
+            row, ensure_ascii=draw(st.booleans()),
+            separators=(",", ":") if draw(st.booleans()) else None)
+        lines.append(draw(whitespace) + body + draw(whitespace)
+                     + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    return "".join(lines) + draw(caption_lines())
 
 
 def _read(tmp_path, text):
@@ -43,6 +182,96 @@ class TestReadCaptions:
         path.write_bytes(b'{"image_id": "a", "caption": "\xff"}\n')
         with pytest.raises(IoFailure, match="caps.jsonl"):
             list(read_captions(path))
+
+    @settings(max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(caption_files())
+    def test_matches_decode_every_line_oracle(self, tmp_path, text):
+        path = tmp_path / "caps.jsonl"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        assert outcome(read_captions, path) == \
+            outcome(reference_read_captions, path)
+
+    @pytest.mark.parametrize("text", [
+        '{"image_id": "a", "caption": "x"}',
+        ' {"image_id": "a"}\n',
+        '{"image_id": "a"} \r\n{"image_id": "b"}\t\n',
+        '{"image_id": "a"}\u2028\n',
+        '{"image_id": "a"}{"image_id": "b"}\n',
+        '{"image_id": "a"}x\n',
+        '{"image_id": "a", "caption": NaN}\n',
+        '{"image_id": 1, "caption": "x", "n": [{"a": [1.5e3]}]}\n',
+        '\n\r\n{"image_id": "a"\n',
+        '{"image_id": "a", "caption": "\\ud800"}\r',
+    ])
+    def test_edge_lines_match_oracle(self, tmp_path, text):
+        path = tmp_path / "caps.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(read_captions, path) == \
+            outcome(reference_read_captions, path)
+
+
+class TestWriteCaptions:
+    @settings(max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(text, text, st.none() | st.sampled_from(SPLITS)),
+                    min_size=1, max_size=5),
+           st.none() | st.tuples(st.integers(0, 4), st.integers(0, 1),
+                                 st.sampled_from(["\ud800", "\udfff"])))
+    def test_bytes_match_json_dumps(self, tmp_path, rows, surrogate):
+        if surrogate:  # a lone surrogate in an id or a caption
+            index, field, char = surrogate
+            row = list(rows[index % len(rows)])
+            row[field] += char
+            rows[index % len(rows)] = tuple(row)
+        path = tmp_path / "out.jsonl"
+        path.write_text("old\n")
+        expected = []
+        for image_id, caption, split in rows:
+            row = {"image_id": image_id, "caption": caption}
+            if split is not None:
+                row["split"] = split
+            expected.append(json.dumps(row, ensure_ascii=False) + "\n")
+        try:
+            data = "".join(expected).encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate
+            with pytest.raises(IoFailure, match="out.jsonl"):
+                write_captions(path, rows)
+            assert path.read_text() == "old\n"
+        else:
+            write_captions(path, rows)
+            assert path.read_bytes() == data
+        assert os.listdir(tmp_path) == ["out.jsonl"]
+
+    def test_frozen_pipeline_digests(self, tmp_path):
+        # recorded before the writer was rebuilt on the C string encoder;
+        # any change to the bytes of a written caption line shows here
+        ann, tsv = write_corpus(tmp_path, n_images=300, seed=17)
+        assert run(["build", "--annotations", str(ann), "--correlates",
+                    str(tsv), "--out", str(tmp_path / "records.jsonl"),
+                    "--quiet", "--report", str(tmp_path / "build.json")]) == 0
+        assert run(["split", "--in", str(tmp_path / "records.jsonl"),
+                    "--val", "30", "--test", "30", "--seed", "3",
+                    "--out", str(tmp_path / "split.jsonl"),
+                    "--export-dir", str(tmp_path / "splits"), "--quiet",
+                    "--report", str(tmp_path / "split.json")]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("records.jsonl", "split.jsonl", "splits/train.jsonl",
+                         "splits/val.jsonl", "splits/test.jsonl")
+        }
+        assert digests == {
+            "records.jsonl": "8cefd09c0cca50ce0759b5df2025ef41"
+                             "57a3b70ee8204645030e42cf82dc256c",
+            "split.jsonl": "60bc3408e3d3ee4ac0ed33677c205417"
+                           "72adcba4d1417b91645bad66ed301da5",
+            "splits/train.jsonl": "d3fb7c56ab4567cfc8d590d949b24542"
+                                  "14045f1bf8bac4ae7f4ace52915d7b23",
+            "splits/val.jsonl": "451ea2eed64efeb04084e440f4074b23"
+                                "71c0b0895ccc6adff73de5f148920459",
+            "splits/test.jsonl": "e8236aa0f26330522b572c564235e988"
+                                 "f300253b10f9493e506444743202e5c8",
+        }
 
 
 class TestWriteAtomic:
