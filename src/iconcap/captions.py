@@ -3,8 +3,10 @@
 Raw descriptions are the per-image correlates joined with ", " in code
 order.  Cleaning removes parenthesized groups, configured uppercase marker
 runs, ", etc." occurrences and duplicate comma segments, then normalizes
-spacing and the terminal period.  Splits are a seeded deterministic
-permutation over sorted image ids.
+spacing and the terminal period.  One cleaning pass runs; the pass is
+repeated to a fixed point only when its output still holds a trigger that
+a second pass could act on (see :func:`clean_description`).  Splits are a
+seeded deterministic permutation over sorted image ids.
 """
 
 from __future__ import annotations
@@ -119,6 +121,7 @@ def build_raw(
 
 _GROUP_RE = re.compile(r"\([^()]*\)")
 _SPACE_RUN_RE = re.compile(r"  +")
+_PERIOD_SEGMENT_RE = re.compile(r"\.\s*,")
 
 
 def _clean_pass(raw: str, cfg: CleaningConfig) -> str:
@@ -158,15 +161,41 @@ def _clean_pass(raw: str, cfg: CleaningConfig) -> str:
     return s
 
 
+def _may_change(s: str, cfg: CleaningConfig) -> bool:
+    """Whether another pass could change ``s``, the output of one pass.
+
+    A pass leaves no parentheses and no space run, and ends on a period,
+    so a second pass acts only on what the first one's deletions or its
+    appended period uncovered: a ", etc.", a stoplist run, or (with dedup)
+    a segment ending in a period that the new last segment may repeat.
+    """
+    if cfg.drop_etc and ", etc." in s:
+        return True
+    for token, stoplist_re in zip(cfg.uppercase_stoplist, cfg._stoplist_res):
+        if token in s and stoplist_re.search(s):
+            return True
+    return cfg.dedup and _PERIOD_SEGMENT_RE.search(s) is not None
+
+
 def clean_description(raw: str, cfg: CleaningConfig | None = None) -> str:
     """Apply the cleaning pass to a fixed point.
 
-    Iterating guarantees idempotence: a ", etc." uncovered by appending the
-    terminal period is removed on the next pass.  Empty output is legal.
+    One pass runs.  Its output is passed again, up to 16 passes in all,
+    only when it still holds a trigger a second pass could act on:
+    ", etc." when ``drop_etc`` is set (``a, etc`` becomes ``a, etc.``); a
+    match of a stoplist pattern (deleting ", etc." from ``a -, etc. BB -
+    c`` leaves ``a - BB - c``); or, when ``dedup`` is set, a segment ending
+    in a period (``x., x`` becomes ``x., x.``).  Space runs need no check:
+    the pass collapses them after the last step that could make one, and
+    no later step puts two spaces side by side.  Without a trigger a second
+    pass returns its input, so the result is the fixed point and cleaning
+    is idempotent.  Empty output is legal.
     """
     cfg = cfg or CleaningConfig()
-    s = raw
-    for _ in range(16):
+    s = _clean_pass(raw, cfg)
+    if not _may_change(s, cfg):
+        return s
+    for _ in range(15):
         nxt = _clean_pass(s, cfg)
         if nxt == s:
             return s

@@ -209,6 +209,10 @@ class CorrelateStore:
                     entries[_canonical(key)] = text
         except OSError as exc:
             raise IoFailure(f"cannot read correlate table {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise IoFailure(
+                f"cannot read correlate table {path}: not UTF-8: {exc}"
+            ) from exc
         return cls(entries)
 
     @classmethod
@@ -219,8 +223,14 @@ class CorrelateStore:
                 data = json.load(fh)
         except OSError as exc:
             raise IoFailure(f"cannot read correlate table {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise IoFailure(
+                f"cannot read correlate table {path}: not UTF-8: {exc}"
+            ) from exc
         except json.JSONDecodeError as exc:
             raise SchemaViolation(f"{path}: not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise SchemaViolation(f"{path}: JSON nested too deeply") from None
         if not isinstance(data, dict):
             raise SchemaViolation(f"{path}: top level must be an object")
         for key, text in data.items():
@@ -279,8 +289,14 @@ def load_annotations(path: str | Path) -> list[AnnotationRecord]:
             data = json.load(fh)
     except OSError as exc:
         raise IoFailure(f"cannot read annotations {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IoFailure(
+            f"cannot read annotations {path}: not UTF-8: {exc}"
+        ) from exc
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaViolation(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise SchemaViolation(f"{path}: top level must be an object")
 

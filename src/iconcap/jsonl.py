@@ -68,12 +68,12 @@ def read_captions(path: str | Path) -> Iterator[NumberedRow]:
                 try:
                     row, end = _SCAN(line, 0)
                     whole = line[end:] in _LINE_ENDS
-                except (StopIteration, json.JSONDecodeError):
+                except (StopIteration, json.JSONDecodeError, RecursionError):
                     whole = False
                 if not whole:
                     # leading or trailing whitespace, trailing data, a blank
-                    # line or invalid JSON: json.loads' own path gives the
-                    # row or the message and column
+                    # line, invalid JSON or nesting too deep to decode:
+                    # json.loads' own path gives the row or the message
                     try:
                         row = _DECODE(line)
                     except json.JSONDecodeError as exc:
@@ -82,6 +82,9 @@ def read_captions(path: str | Path) -> Iterator[NumberedRow]:
                         raise _violation(path, lineno, f"not valid JSON: "
                                          f"{exc.msg} at column "
                                          f"{exc.pos + 1}") from None
+                    except RecursionError:
+                        raise _violation(path, lineno,
+                                         "JSON nested too deeply") from None
                 if type(row) is not dict:
                     raise _violation(path, lineno, "expected a JSON object, "
                                                    f"got {json.dumps(row)}")

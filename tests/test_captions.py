@@ -20,8 +20,11 @@ from iconcap import (
     build_raw,
     clean_description,
     export_jsonl,
+    load_annotations,
 )
+from iconcap import captions
 from goldens import CLEANING_PAIRS, normalize_terminal
+from synth import write_corpus
 
 STORE = CorrelateStore.from_pairs({"73": "x", "11F": "y", "25": "sea"})
 
@@ -133,6 +136,91 @@ def test_cleaning_output_shape(s):
         assert out.endswith(".")
         segments = [seg.strip() for seg in out.split(",")]
         assert len(segments) == len(set(segments))
+
+
+def reference_clean(raw, cfg=None):
+    """The cleaning pass repeated until it stops changing, 16 passes at most.
+
+    The oracle for clean_description, which runs the pass once and repeats
+    it only when a trigger check says a second pass could change the text.
+    """
+    cfg = cfg or CleaningConfig()
+    s = raw
+    for _ in range(16):
+        nxt = captions._clean_pass(s, cfg)
+        if nxt == s:
+            return s
+        s = nxt
+    return s
+
+
+CONFIGS = [
+    CleaningConfig(),
+    CleaningConfig(drop_etc=False),
+    CleaningConfig(dedup=False),
+    CleaningConfig(uppercase_stoplist=("BB", "E")),
+]
+
+oracle_text = st.lists(
+    st.sampled_from(list("()-,. \tabeBtcx")
+                    + [" - BB - ", " - E - ", ", etc", ", etc."]),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=600)
+@given(oracle_text, st.sampled_from(CONFIGS))
+def test_cleaning_matches_fixed_point_loop(s, cfg):
+    assert clean_description(s, cfg) == reference_clean(s, cfg)
+    # clean_description has no space-run trigger: a pass never leaves a run
+    assert "  " not in captions._clean_pass(s, cfg)
+
+
+RERUN_CASES = [
+    "a, etc",              # the appended period uncovers ", etc."
+    "x., x",               # the appended period makes a duplicate segment
+    "a -, etc. BB - c",    # deleting ", etc." uncovers a stoplist run
+    "a, b.,b",             # a duplicate once the period lands
+]
+
+
+@pytest.mark.parametrize("raw", RERUN_CASES + [
+    "a" + ", etc" * 20,    # one ", etc." per pass without dedup: the cap
+])
+@pytest.mark.parametrize("cfg", CONFIGS, ids=[
+    "default", "keep-etc", "no-dedup", "stoplist-BB-E",
+])
+def test_cleaning_rerun_cases_match_fixed_point_loop(raw, cfg):
+    assert clean_description(raw, cfg) == reference_clean(raw, cfg)
+
+
+@pytest.mark.parametrize("raw", RERUN_CASES)
+def test_rerun_cases_need_a_second_pass(raw):
+    cfg = CleaningConfig()
+    once = captions._clean_pass(raw, cfg)
+    assert captions._clean_pass(once, cfg) != once
+
+
+def test_one_pass_per_distinct_raw(tmp_path, monkeypatch):
+    ann, tsv = write_corpus(tmp_path, n_images=300, seed=2)
+    annotations = load_annotations(ann)
+    store = CorrelateStore.from_tsv(tsv)
+    raws = set()
+    for record in annotations:
+        try:
+            raws.add(build_raw(record, store))
+        except NoResolvableCodes:
+            pass
+    calls = []
+    real_pass = captions._clean_pass
+
+    def counting_pass(raw, cfg):
+        calls.append(raw)
+        return real_pass(raw, cfg)
+
+    monkeypatch.setattr(captions, "_clean_pass", counting_pass)
+    build_dataset(annotations, store)
+    assert sorted(calls) == sorted(raws)
 
 
 class TestBuildDataset:

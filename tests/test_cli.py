@@ -154,6 +154,47 @@ class TestMalformedCaptions:
         )
 
 
+def _build_argv(tmp_path, bad_flag, bad):
+    """Build arguments that read ``bad`` through ``bad_flag``."""
+    ann, tsv = write_corpus(tmp_path, n_images=3)
+    corr = tmp_path / "correlates.json"
+    corr.write_text(json.dumps({"73": "sea"}))
+    argv = {
+        "annotations": ["--annotations", str(bad), "--correlates", str(tsv)],
+        "tsv": ["--annotations", str(ann), "--correlates", str(bad)],
+        "json": ["--annotations", str(ann), "--correlates", str(bad),
+                 "--correlates-format", "json"],
+    }[bad_flag]
+    return ["build", *argv, "--out", str(tmp_path / "out.jsonl"), "--quiet"]
+
+
+class TestUndecodableInputs:
+    @pytest.mark.parametrize("bad_flag", ["annotations", "tsv", "json"])
+    def test_build_input_not_utf8(self, tmp_path, capsys, bad_flag):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe")
+        assert run(_build_argv(tmp_path, bad_flag, bad)) == 1
+        assert "bad.bin: not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("bad_flag", ["annotations", "json"])
+    def test_build_input_nested_too_deeply(self, tmp_path, capsys, bad_flag):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000)
+        assert run(_build_argv(tmp_path, bad_flag, bad)) == 1
+        assert f"{bad}: JSON nested too deeply" in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("line", ["[" * 100_000, " " + "[" * 100_000],
+                             ids=["scanner", "decoder"])
+    def test_captions_nested_too_deeply(self, tmp_path, capsys, line):
+        bad = tmp_path / "deep.jsonl"
+        bad.write_text('{"image_id": "a", "caption": "sea."}\n' + line + "\n")
+        assert run(["analyze", "lengths", "--captions", str(bad)]) == 1
+        assert f"{bad}: line 2: JSON nested too deeply" in \
+            capsys.readouterr().err
+
+
 def run_pipeline(tmp_path, workdir, seed=11):
     ann, tsv = write_corpus(tmp_path, n_images=40, seed=3)
     workdir.mkdir(exist_ok=True)
