@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .captions import CaptionRecord
-from .errors import EmptyInput, IoFailure
+from .errors import EmptyInput, SchemaViolation
+from .jsonl import reading
 from .metrics import tokenize
 
 
@@ -134,9 +135,10 @@ def frequency_baseline(
 def load_genre_csv(path: str | Path) -> dict[str, str]:
     """Read an ``image_id,genre`` CSV (header row optional)."""
     genres: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            for row in csv.reader(fh):
+    with reading(path, "genre table", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
                 if not row or len(row) < 2:
                     continue
                 image_id, genre = row[0].strip(), row[1].strip()
@@ -144,12 +146,8 @@ def load_genre_csv(path: str | Path) -> dict[str, str]:
                     continue
                 if image_id and genre:
                     genres[image_id] = genre
-    except OSError as exc:
-        raise IoFailure(f"cannot read genre table {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise IoFailure(
-            f"cannot read genre table {path}: not UTF-8: {exc}"
-        ) from exc
+        except csv.Error as exc:
+            raise SchemaViolation(f"{path}: line {reader.line_num}: {exc}") from exc
     return genres
 
 

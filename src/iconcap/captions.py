@@ -247,7 +247,9 @@ def build_dataset(
 
 
 def _shuffle_key(seed: int, image_id: str) -> str:
-    return hashlib.sha256(f"{seed}:{image_id}".encode("utf-8")).hexdigest()
+    # an id with a lone surrogate still sorts; writing it then fails cleanly
+    key = f"{seed}:{image_id}".encode("utf-8", "surrogatepass")
+    return hashlib.sha256(key).hexdigest()
 
 
 def assign_splits(

@@ -33,7 +33,7 @@ from .captions import (
 )
 from .errors import DuplicateId, IconcapError, IoFailure
 from .iconclass import CorrelateStore, load_annotations, parse_notation
-from .jsonl import read_captions, write_atomic, write_captions
+from .jsonl import read_captions, reading, write_atomic, write_captions
 from .metrics import EvalConfig, evaluate, load_caption_map
 
 
@@ -229,7 +229,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         write_atomic(args.report, [text, "\n"])
         _log(args, f"wrote report to {args.report}")
     else:
-        print(text)
+        try:
+            print(text)
+        except UnicodeEncodeError as exc:  # a lone surrogate, say
+            raise IoFailure(f"cannot write standard output: {exc}") from exc
     if args.csv:
         write_atomic(args.csv, [report.to_csv(x100=args.x100)])
         _log(args, f"wrote per-example CSV to {args.csv}")
@@ -267,11 +270,8 @@ def _cmd_analyze_lengths(args: argparse.Namespace) -> int:
 def _read_test_ids(path: str) -> list[str]:
     # caption records (test split when marked) when the first non-blank
     # line starts with "{", else one id per line
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
-    except UnicodeDecodeError as exc:
-        raise IoFailure(f"cannot read {path}: not UTF-8: {exc}") from exc
+    with reading(path) as fh:
+        lines = [line.strip() for line in fh if line.strip()]
     if not lines or not lines[0].startswith("{"):
         return lines
     return [image_id for _, image_id, _, split in read_captions(path)

@@ -14,12 +14,12 @@ outside groups ignored.  A group whose content starts with ``+`` is a key
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import IoFailure, MalformedNotation, SchemaViolation
+from .errors import MalformedNotation, SchemaViolation
+from .jsonl import read_json_object, reading
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class IconclassNotation:
 
 
 def _byte_offset(text: str, index: int) -> int:
-    return len(text[:index].encode("utf-8"))
+    return len(text[:index].encode("utf-8", "surrogatepass"))
 
 
 def parse_notation(raw: str) -> IconclassNotation:
@@ -193,46 +193,25 @@ class CorrelateStore:
     def from_tsv(cls, path: str | Path) -> CorrelateStore:
         """Load ``notation<TAB>text`` lines; ``#`` lines and blanks skipped."""
         entries: dict[str, str] = {}
-        try:
-            with open(path, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, 1):
-                    line = line.rstrip("\n")
-                    if not line.strip() or line.startswith("#"):
-                        continue
-                    if "\t" not in line:
-                        raise SchemaViolation(
-                            f"{path}: line {lineno} has no tab separator"
-                        )
-                    key, text = line.split("\t", 1)
-                    if not text:
-                        continue
-                    entries[_canonical(key)] = text
-        except OSError as exc:
-            raise IoFailure(f"cannot read correlate table {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise IoFailure(
-                f"cannot read correlate table {path}: not UTF-8: {exc}"
-            ) from exc
+        with reading(path, "correlate table") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.rstrip("\n")
+                if not line.strip() or line.startswith("#"):
+                    continue
+                if "\t" not in line:
+                    raise SchemaViolation(
+                        f"{path}: line {lineno} has no tab separator"
+                    )
+                key, text = line.split("\t", 1)
+                if not text:
+                    continue
+                entries[_canonical(key)] = text
         return cls(entries)
 
     @classmethod
     def from_json(cls, path: str | Path) -> CorrelateStore:
         """Load a JSON object mapping notation to correlate text."""
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise IoFailure(f"cannot read correlate table {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise IoFailure(
-                f"cannot read correlate table {path}: not UTF-8: {exc}"
-            ) from exc
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"{path}: not valid JSON: {exc}") from exc
-        except RecursionError:
-            raise SchemaViolation(f"{path}: JSON nested too deeply") from None
-        if not isinstance(data, dict):
-            raise SchemaViolation(f"{path}: top level must be an object")
+        data = read_json_object(path, "correlate table")
         for key, text in data.items():
             if not isinstance(text, str):
                 raise SchemaViolation(
@@ -284,22 +263,7 @@ def load_annotations(path: str | Path) -> list[AnnotationRecord]:
     them later).  Raises SchemaViolation naming the offending key when a
     value is not an array of strings.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"cannot read annotations {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise IoFailure(
-            f"cannot read annotations {path}: not UTF-8: {exc}"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"{path}: not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise SchemaViolation(f"{path}: JSON nested too deeply") from None
-    if not isinstance(data, dict):
-        raise SchemaViolation(f"{path}: top level must be an object")
-
+    data = read_json_object(path, "annotations")
     records = []
     for image_id, codes in data.items():
         if not isinstance(codes, list):

@@ -17,7 +17,8 @@ keys in that order, ``", "`` between members, ``": "`` after each key, no
 ``split`` member while the split is unset, and non-ASCII characters
 written as they are (only ``"``, ``\\`` and control characters escaped).
 
-Every file the package writes, JSONL or not, goes through
+Every file the package reads goes through :func:`reading`, so a failed
+read is an IoFailure naming the file, and every file it writes through
 :func:`write_atomic`, so a failed run never leaves a truncated file.
 """
 
@@ -29,6 +30,7 @@ import os
 import stat
 from collections.abc import Iterable, Iterator
 from pathlib import Path
+from typing import TextIO
 
 from .errors import IoFailure, SchemaViolation
 
@@ -55,6 +57,39 @@ def _bad_key(row: dict, key: str, expected: str) -> str:
     return f"key {key!r} must be {expected}, got {json.dumps(row[key])}"
 
 
+@contextlib.contextmanager
+def reading(path: str | Path, what: str = "",
+            newline: str | None = None) -> Iterator[TextIO]:
+    """Open ``path`` as UTF-8 text for the block.
+
+    An OSError or UnicodeDecodeError raised opening or reading it there
+    becomes ``IoFailure("cannot read <what> <path>: ...")``.
+    """
+    name = f"{what} {path}" if what else path
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise IoFailure(f"cannot read {name}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"cannot read {name}: not UTF-8: {exc}") from exc
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """Read the JSON object in ``path``; SchemaViolation names the path."""
+    with reading(path, what) as fh:
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise SchemaViolation(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:  # JSONDecodeError or the int digit limit
+        raise SchemaViolation(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SchemaViolation(f"{path}: top level must be an object")
+    return data
+
+
 def read_captions(path: str | Path) -> Iterator[NumberedRow]:
     """Yield each row of a caption file as ``(line, image_id, caption, split)``.
 
@@ -62,51 +97,49 @@ def read_captions(path: str | Path) -> Iterator[NumberedRow]:
     Raises SchemaViolation naming the path, the line and the key of the
     first malformed line, and IoFailure when the file cannot be read.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
+    with reading(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                row, end = _SCAN(line, 0)
+                whole = line[end:] in _LINE_ENDS
+            except (StopIteration, ValueError, RecursionError):
+                whole = False
+            if not whole:
+                # leading or trailing whitespace, trailing data, a blank
+                # line, invalid JSON, too deep or too long a number for
+                # json: json.loads' own path gives the row or the message
                 try:
-                    row, end = _SCAN(line, 0)
-                    whole = line[end:] in _LINE_ENDS
-                except (StopIteration, json.JSONDecodeError, RecursionError):
-                    whole = False
-                if not whole:
-                    # leading or trailing whitespace, trailing data, a blank
-                    # line, invalid JSON or nesting too deep to decode:
-                    # json.loads' own path gives the row or the message
-                    try:
-                        row = _DECODE(line)
-                    except json.JSONDecodeError as exc:
-                        if not line.strip():
-                            continue
-                        raise _violation(path, lineno, f"not valid JSON: "
-                                         f"{exc.msg} at column "
-                                         f"{exc.pos + 1}") from None
-                    except RecursionError:
-                        raise _violation(path, lineno,
-                                         "JSON nested too deeply") from None
-                if type(row) is not dict:
-                    raise _violation(path, lineno, "expected a JSON object, "
-                                                   f"got {json.dumps(row)}")
-                image_id = row.get("image_id")
-                if type(image_id) is not str:
-                    if type(image_id) is not int:  # bool is no image id
-                        raise _violation(path, lineno, _bad_key(
-                            row, "image_id", "a string or an integer"))
-                    image_id = str(image_id)
-                caption = row.get("caption", "")
-                if type(caption) is not str:
+                    row = _DECODE(line)
+                except json.JSONDecodeError as exc:
+                    if not line.strip():
+                        continue
+                    raise _violation(path, lineno, f"not valid JSON: "
+                                     f"{exc.msg} at column "
+                                     f"{exc.pos + 1}") from None
+                except RecursionError:
                     raise _violation(path, lineno,
-                                     _bad_key(row, "caption", "a string"))
-                split = row.get("split")
-                if split is not None and split not in SPLITS:
+                                     "JSON nested too deeply") from None
+                except ValueError as exc:
+                    raise _violation(path, lineno,
+                                     f"not valid JSON: {exc}") from None
+            if type(row) is not dict:
+                raise _violation(path, lineno, "expected a JSON object, "
+                                               f"got {json.dumps(row)}")
+            image_id = row.get("image_id")
+            if type(image_id) is not str:
+                if type(image_id) is not int:  # bool is no image id
                     raise _violation(path, lineno, _bad_key(
-                        row, "split", "one of train, val, test"))
-                yield lineno, image_id, caption, split
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise IoFailure(f"cannot read {path}: not UTF-8: {exc}") from exc
+                        row, "image_id", "a string or an integer"))
+                image_id = str(image_id)
+            caption = row.get("caption", "")
+            if type(caption) is not str:
+                raise _violation(path, lineno,
+                                 _bad_key(row, "caption", "a string"))
+            split = row.get("split")
+            if split is not None and split not in SPLITS:
+                raise _violation(path, lineno, _bad_key(
+                    row, "split", "one of train, val, test"))
+            yield lineno, image_id, caption, split
 
 
 def write_captions(path: str | Path, rows: Iterable[CaptionRow]) -> None:

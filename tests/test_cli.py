@@ -1,8 +1,15 @@
 """CLI behavior: exit codes, output formats, end-to-end pipeline runs."""
 
+import contextlib
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iconcap.cli import run
 from synth import write_corpus
@@ -140,6 +147,16 @@ class TestMalformedCaptions:
             "records.jsonl", "split.jsonl",
         ]
 
+    def test_unencodable_id_keeps_old_output(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"image_id": "\\ud800", "caption": "sea."}\n')
+        out = tmp_path / "split.jsonl"
+        out.write_bytes(b'{"image_id": "old"}\n')
+        assert run(["split", "--in", str(records), "--val", "0",
+                    "--test", "0", "--out", str(out), "--quiet"]) == 1
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert out.read_bytes() == b'{"image_id": "old"}\n'
+
     def test_ids_form_decided_by_first_line(self, tmp_path):
         train = tmp_path / "train.jsonl"
         train.write_text('{"image_id": "t", "caption": "sea."}\n')
@@ -193,6 +210,137 @@ class TestUndecodableInputs:
         assert run(["analyze", "lengths", "--captions", str(bad)]) == 1
         assert f"{bad}: line 2: JSON nested too deeply" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_flag,template", [
+        ("annotations", '{"a": [%s]}'), ("json", '{"73": %s}'),
+    ], ids=["annotations", "json"])
+    def test_build_input_integer_too_long(self, tmp_path, capsys, bad_flag,
+                                          template):
+        bad = tmp_path / "big.json"
+        bad.write_text(template % ("1" * 5000))
+        assert run(_build_argv(tmp_path, bad_flag, bad)) == 1
+        assert f"{bad}: not valid JSON: Exceeds the limit" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("indent", ["", " "], ids=["scanner", "decoder"])
+    def test_captions_integer_too_long(self, tmp_path, capsys, indent):
+        bad = tmp_path / "big.jsonl"
+        bad.write_text('{"image_id": "a", "caption": "sea."}\n' + indent +
+                       '{"image_id": %s, "caption": "x"}\n' % ("1" * 5000))
+        assert run(["analyze", "lengths", "--captions", str(bad)]) == 1
+        assert f"{bad}: line 2: not valid JSON: Exceeds the limit" in \
+            capsys.readouterr().err
+
+
+# Valid inputs for the fuzz gate; each command reads some of them by name.
+_FUZZ_FILES = {
+    "ann.json": b'{"a.jpg": ["73", "11F(ROSE)"], '
+                b'"b.jpg": ["25G4", "25G(+1)("], "c.jpg": []}',
+    "corr.tsv": b"# notation\ttext\n73\tsea, ship\n"
+                b"11F\tking - BB - queen, etc.\n25G4\trose\n",
+    "corr.json": b'{"73": "sea, ship", "11F(+1)(": "king", "25G4": "rose"}',
+    "caps.jsonl": b'{"image_id": "a", "caption": "sea, ship.", '
+                  b'"split": "train"}\n'
+                  b'{"image_id": "b", "caption": "king.", "split": "test"}\n'
+                  b'{"image_id": 7, "caption": "rose, sea."}\n',
+    "refs.jsonl": b'{"image_id": "b", "caption": "king, queen."}\n'
+                  b'{"image_id": 7, "caption": "rose."}\n',
+    "genres.csv": b"image_id,genre\nb,portrait\n7,still life\n",
+    "ids.txt": b"b\n7\n",
+}
+_FUZZ_COMMANDS = [
+    ["build", "--annotations", "ann.json", "--correlates", "corr.tsv",
+     "--out", "out"],
+    ["build", "--annotations", "ann.json", "--correlates", "corr.json",
+     "--correlates-format", "json", "--out", "out"],
+    ["split", "--in", "caps.jsonl", "--val", "1", "--test", "1",
+     "--out", "out"],
+    ["eval", "--candidates", "refs.jsonl", "--references", "caps.jsonl",
+     "--csv", "out"],
+    # one file behind both flags: a mutated id still finds its reference
+    ["eval", "--candidates", "refs.jsonl", "--references", "refs.jsonl"],
+    ["analyze", "genres", "--captions", "caps.jsonl", "--genres",
+     "genres.csv", "--out", "out"],
+    ["analyze", "lengths", "--captions", "caps.jsonl"],
+    ["baseline", "--train", "caps.jsonl", "--ids", "refs.jsonl",
+     "--out", "out"],
+    ["baseline", "--train", "caps.jsonl", "--ids", "ids.txt", "--out", "out"],
+]
+# (command, input file to fuzz): every file-taking flag of every command
+_FUZZ_TARGETS = [(argv, name) for argv in _FUZZ_COMMANDS
+                 for name in dict.fromkeys(argv) if name in _FUZZ_FILES]
+_STRING = re.compile(rb'"[^"]*"')
+
+
+def _with_surrogate(literal, at):
+    """A JSON string literal with ``\\ud800`` inserted inside it."""
+    cut = 1 + at % (len(literal) - 1)
+    return literal[:cut] + b"\\ud800" + literal[cut:]
+
+
+def _mutate(data, kind, at):
+    """``data`` with one mutation of ``kind``, placed by ``at``."""
+    at %= len(data) + 1
+    if kind == "truncate":
+        return data[:at]
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:] \
+            if at < len(data) else data
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + data
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if kind == "deep":
+        return data[:at] + b"[" * 100_000 + data[at:]
+    if kind == "surrogate":  # a lone surrogate's JSON escape in every string
+        return _STRING.sub(lambda m: _with_surrogate(m[0], at), data)
+    if kind == "bigint":  # in place of a JSON string, if there is one
+        strings = list(_STRING.finditer(data))
+        start, end = strings[at % len(strings)].span() if strings else (at, at)
+        return data[:start] + b"1" * 5000 + data[end:]
+    assert kind == "longfield"
+    return data[:at] + b"x" * 200_000 + data[at:]
+
+
+@st.composite
+def _fuzz_cases(draw):
+    argv, name = draw(st.sampled_from(_FUZZ_TARGETS))
+    kind = draw(st.sampled_from(["bytes", "truncate", "flip", "bom", "crlf",
+                                 "deep", "surrogate", "bigint", "longfield"]))
+    if kind == "bytes":
+        return argv, name, draw(st.binary(max_size=200))
+    at = draw(st.integers(min_value=0, max_value=1000))
+    return argv, name, _mutate(_FUZZ_FILES[name], kind, at)
+
+
+class TestFuzzGate:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_fuzz_cases())
+    def test_any_input_exits_cleanly(self, case):
+        """Every input file exits 0, 1 or 2 without raising; an exit 1
+        leaves the previous output as it was."""
+        argv, name, data = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for file_name, content in _FUZZ_FILES.items():
+                (tmp / file_name).write_bytes(content)
+            (tmp / "fuzzed").write_bytes(data)
+            (tmp / "out").write_bytes(b"old\n")
+            args = [str(tmp / "fuzzed") if arg == name else
+                    str(tmp / arg) if arg in _FUZZ_FILES or arg == "out"
+                    else arg for arg in argv]
+            # the encodings of real streams: strict UTF-8 stdout, and
+            # stderr escaping what it cannot encode
+            stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+            stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8",
+                                      errors="backslashreplace")
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                status = run([*args, "--quiet"])
+            assert status in (0, 1, 2)
+            if status == 1:
+                assert (tmp / "out").read_bytes() == b"old\n"
 
 
 def run_pipeline(tmp_path, workdir, seed=11):
@@ -310,6 +458,19 @@ class TestAnalyze:
         assert "genres.csv: not UTF-8" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_genres_oversized_field_is_domain_error(self, tmp_path, capsys):
+        captions = tmp_path / "caps.jsonl"
+        captions.write_text('{"image_id": "a", "caption": "sea."}\n')
+        genres = tmp_path / "genres.csv"
+        genres.write_text("image_id,genre\na," + "x" * 200_000 + "\n")
+        out = tmp_path / "dist.csv"
+        assert run(["analyze", "genres", "--captions", str(captions),
+                    "--genres", str(genres), "--out", str(out),
+                    "--quiet"]) == 1
+        assert f"{genres}: line 2: field larger than field limit" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_genres_k_below_one_is_usage_error(self, tmp_path, capsys, k):
         captions = tmp_path / "caps.jsonl"
@@ -353,6 +514,15 @@ class TestEvalPresentation:
         assert scaled["corpus"]["rouge_l"] == pytest.approx(
             natural["corpus"]["rouge_l"] * 100
         )
+
+    def test_unencodable_id_on_stdout_is_domain_error(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text('{"image_id": "\\ud800", "caption": "sea."}\n')
+        assert run(["eval", "--candidates", str(pairs),
+                    "--references", str(pairs), "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert "cannot write standard output" in captured.err
+        assert captured.out == ""
 
     def test_csv_mirror(self, tmp_path):
         cands, refs = self._files(tmp_path)

@@ -84,6 +84,12 @@ class TestParse:
             parse_notation("73é")
         assert exc.value.offset == 2
 
+    def test_byte_offset_counts_a_lone_surrogate(self):
+        # a JSON "\ud800" escape decodes to a lone surrogate: three bytes
+        with pytest.raises(MalformedNotation) as exc:
+            parse_notation("7(\ud800)(")
+        assert exc.value.offset == 6
+
 
 class TestParent:
     def test_base_shortening(self):
