@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import DuplicateId, InsufficientRecords, NoResolvableCodes
@@ -80,12 +80,7 @@ class BuildReport:
     unresolved_codes: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "input": self.input,
-            "kept": self.kept,
-            "dropped_empty": self.dropped_empty,
-            "unresolved_codes": self.unresolved_codes,
-        }
+        return asdict(self)
 
 
 def _resolve_code(
@@ -274,21 +269,12 @@ def assign_splits(
     for a, b in zip(permuted, permuted[1:]):  # equal ids sort adjacent
         if a.image_id == b.image_id:
             raise DuplicateId(a.image_id)
-    out = []
-    for idx, record in enumerate(permuted):
-        if idx < cfg.n_test:
-            split = "test"
-        elif idx < cfg.n_test + cfg.n_val:
-            split = "val"
-        else:
-            split = "train"
-        out.append(
-            CaptionRecord(
-                record.image_id, record.raw_description,
-                record.clean_description, split,
-            )
-        )
-    return out
+    return [
+        CaptionRecord(r.image_id, r.raw_description, r.clean_description,
+                      "test" if i < cfg.n_test else
+                      "val" if i < cfg.n_test + cfg.n_val else "train")
+        for i, r in enumerate(permuted)
+    ]
 
 
 def export_jsonl(

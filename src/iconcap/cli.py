@@ -3,8 +3,9 @@
 Subcommands: ``parse``, ``build``, ``split``, ``eval``, ``analyze``,
 ``baseline``.  Exit codes: 0 success, 1 domain error, 2 usage error.
 All logs go to standard error; primary outputs go to files or stdout.
-Reports embed the tool version and the resolved configuration, and all
-randomness flows from the single ``--seed`` flag.
+Every report leaves through ``_emit_report`` as one envelope holding the
+tool version and the resolved configuration, every stdout document
+through ``_print``; all randomness flows from the single ``--seed`` flag.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TextIO
 
 from . import __version__
 from .analysis import (
@@ -23,6 +25,7 @@ from .analysis import (
     load_genre_csv,
 )
 from .captions import (
+    CaptionRecord,
     CleaningConfig,
     SplitConfig,
     assign_splits,
@@ -31,7 +34,7 @@ from .captions import (
     read_records_jsonl,
     write_records_jsonl,
 )
-from .errors import DuplicateId, IconcapError, IoFailure
+from .errors import IconcapError, IoFailure
 from .iconclass import CorrelateStore, load_annotations, parse_notation
 from .jsonl import read_captions, reading, write_atomic, write_captions
 from .metrics import EvalConfig, evaluate, load_caption_map
@@ -147,25 +150,31 @@ def _log(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _resolved_config(args: argparse.Namespace) -> dict[str, object]:
-    config = {k: v for k, v in vars(args).items() if k != "func"}
-    config["tool_version"] = __version__
-    return config
+def _print(text: str, stream: TextIO | None = None) -> None:
+    """Print to ``stream`` (stdout); an unencodable character is IoFailure."""
+    stream = stream or sys.stdout
+    try:
+        print(text, file=stream)
+    except UnicodeEncodeError as exc:
+        name = "error" if stream is sys.stderr else "output"
+        raise IoFailure(f"cannot write standard {name}: {exc}") from exc
 
 
-def _emit_report(args: argparse.Namespace, payload: dict[str, object]) -> None:
-    payload = {"tool_version": __version__,
-               "config": _resolved_config(args), **payload}
-    text = json.dumps(payload, ensure_ascii=False, indent=2)
+def _emit_report(args: argparse.Namespace, payload: dict[str, object],
+                 stream: TextIO | None = None) -> None:
+    """Write the envelope to ``--report``, else to ``stream`` (stderr)."""
+    config = {**vars(args), "tool_version": __version__}
+    text = json.dumps({"tool_version": __version__, "config": config,
+                       **payload}, ensure_ascii=False, indent=2)
     if args.report:
         write_atomic(args.report, [text, "\n"])
     else:
-        print(text, file=sys.stderr)
+        _print(text, stream or sys.stderr)
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
     notation = parse_notation(args.code)
-    print(json.dumps({
+    _print(json.dumps({
         "base": list(notation.base),
         "keys": list(notation.keys),
         "qualifiers": list(notation.qualifiers),
@@ -197,15 +206,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
-    records = read_records_jsonl(args.infile)
+    # the map names the file and the line of a repeated id
+    captions = load_caption_map(args.infile)
     cfg = SplitConfig(seed=args.seed, n_val=args.val, n_test=args.test)
-    try:
-        records = assign_splits(records, cfg)
-    except DuplicateId:
-        # records carry no line numbers; a second read names the file and
-        # the line of the first repeat, at no cost to a valid input
-        load_caption_map(args.infile)
-        raise
+    records = assign_splits([CaptionRecord(image_id, "", caption)
+                             for image_id, caption in captions.items()], cfg)
     write_records_jsonl(records, args.out)
     _log(args, f"wrote {len(records)} split records to {args.out}")
     if args.export_dir:
@@ -223,16 +228,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     config = EvalConfig(strip_punctuation=not args.keep_punctuation)
     report = evaluate(args.candidates, args.references, config)
-    report.meta = {"tool_version": __version__, "config": _resolved_config(args)}
-    text = report.to_json(x100=args.x100)
-    if args.report:
-        write_atomic(args.report, [text, "\n"])
-        _log(args, f"wrote report to {args.report}")
-    else:
-        try:
-            print(text)
-        except UnicodeEncodeError as exc:  # a lone surrogate, say
-            raise IoFailure(f"cannot write standard output: {exc}") from exc
+    _emit_report(args, report.as_dict(x100=args.x100), sys.stdout)
     if args.csv:
         write_atomic(args.csv, [report.to_csv(x100=args.x100)])
         _log(args, f"wrote per-example CSV to {args.csv}")
@@ -263,7 +259,7 @@ def _cmd_analyze_genres(args: argparse.Namespace) -> int:
 def _cmd_analyze_lengths(args: argparse.Namespace) -> int:
     captions = load_caption_map(args.captions)
     stats = length_stats(list(captions.values()))
-    print(json.dumps(stats, ensure_ascii=False, indent=2))
+    _print(json.dumps(stats, ensure_ascii=False, indent=2))
     return 0
 
 

@@ -51,10 +51,20 @@ def _violation(path: str | Path, lineno: int, message: str) -> SchemaViolation:
     return SchemaViolation(f"{path}: line {lineno}: {message}")
 
 
+def _echo(value: object) -> str:
+    """``value`` for a message, bounded and without recursion: an array or
+    object by its kind and size, a scalar as JSON cut to 60 characters."""
+    if type(value) is list:
+        return f"an array of {len(value)} items"
+    if type(value) is dict:
+        return f"an object of {len(value)} members"
+    return json.dumps(value)[:60]
+
+
 def _bad_key(row: dict, key: str, expected: str) -> str:
     if key not in row:
         return f"key {key!r} is missing"
-    return f"key {key!r} must be {expected}, got {json.dumps(row[key])}"
+    return f"key {key!r} must be {expected}, got {_echo(row[key])}"
 
 
 @contextlib.contextmanager
@@ -123,8 +133,8 @@ def read_captions(path: str | Path) -> Iterator[NumberedRow]:
                     raise _violation(path, lineno,
                                      f"not valid JSON: {exc}") from None
             if type(row) is not dict:
-                raise _violation(path, lineno, "expected a JSON object, "
-                                               f"got {json.dumps(row)}")
+                raise _violation(path, lineno,
+                                 f"expected a JSON object, got {_echo(row)}")
             image_id = row.get("image_id")
             if type(image_id) is not str:
                 if type(image_id) is not int:  # bool is no image id

@@ -35,7 +35,7 @@ import math
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DuplicateId, EmptyCorpus, MissingReference
@@ -460,7 +460,6 @@ class MetricReport:
 
     corpus: dict[str, float]
     examples: list[dict[str, object]]
-    meta: dict[str, object] = field(default_factory=dict)
 
     def _scaled(self, x100: bool) -> tuple[dict, list[dict]]:
         if not x100:
@@ -475,12 +474,12 @@ class MetricReport:
         ]
         return corpus, examples
 
-    def to_json(self, x100: bool = False) -> str:
+    def as_dict(self, x100: bool = False) -> dict[str, object]:
         corpus, examples = self._scaled(x100)
-        payload: dict[str, object] = dict(self.meta)
-        payload["corpus"] = corpus
-        payload["examples"] = examples
-        return json.dumps(payload, ensure_ascii=False, indent=2)
+        return {"corpus": corpus, "examples": examples}
+
+    def to_json(self, x100: bool = False) -> str:
+        return json.dumps(self.as_dict(x100), ensure_ascii=False, indent=2)
 
     def to_csv(self, x100: bool = False) -> str:
         _, examples = self._scaled(x100)

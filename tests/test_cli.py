@@ -342,6 +342,22 @@ class TestFuzzGate:
             if status == 1:
                 assert (tmp / "out").read_bytes() == b"old\n"
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(["", "7", "7(", "73A(+"]),
+           st.text(st.characters(blacklist_categories=())
+                   | st.sampled_from(["\ud800", "\udcff", "(", ")"])),
+           st.sampled_from(["", ")"]))
+    def test_any_notation_exits_cleanly(self, head, body, tail):
+        """``parse`` exits 0, 1 or 2 without raising for any text, a lone
+        surrogate on a strict UTF-8 stdout included."""
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8",
+                                  errors="backslashreplace")
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            status = run(["parse", head + body + tail])
+        assert status in (0, 1, 2)
+
 
 def run_pipeline(tmp_path, workdir, seed=11):
     ann, tsv = write_corpus(tmp_path, n_images=40, seed=3)
@@ -417,6 +433,45 @@ class TestPipeline:
                         "--correlates", str(tsv), "--out", str(out),
                         "--jobs", jobs, "--quiet"]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+
+class TestReportEnvelope:
+    @pytest.mark.parametrize("command", ["build", "split", "genres", "eval"])
+    def test_report_opens_with_envelope(self, tmp_path, capsys, command):
+        """The report starts with tool_version and config, and the one
+        printed to the default stream equals the --report file."""
+        ann, tsv = write_corpus(tmp_path, n_images=30, seed=2)
+        records = tmp_path / "records.jsonl"
+        build = ["build", "--annotations", str(ann), "--correlates", str(tsv),
+                 "--out", str(records)]
+        assert run([*build, "--quiet"]) == 0
+        ids = [json.loads(line)["image_id"]
+               for line in records.read_text().splitlines()]
+        genres = tmp_path / "genres.csv"
+        genres.write_text("image_id,genre\n" + "".join(
+            f"{image_id},g{n % 3}\n" for n, image_id in enumerate(ids)))
+        argv = {
+            "build": build,
+            "split": ["split", "--in", str(records), "--val", "3",
+                      "--test", "3", "--out", str(tmp_path / "split.jsonl")],
+            "genres": ["analyze", "genres", "--captions", str(records),
+                       "--genres", str(genres),
+                       "--out", str(tmp_path / "dist.csv")],
+            "eval": ["eval", "--candidates", str(records),
+                     "--references", str(records)],
+        }[command]
+        capsys.readouterr()
+        assert run([*argv, "--quiet"]) == 0
+        captured = capsys.readouterr()
+        printed, other = (captured.out, captured.err) if command == "eval" \
+            else (captured.err, captured.out)
+        assert other == ""
+        path = tmp_path / "report.json"
+        assert run([*argv, "--quiet", "--report", str(path)]) == 0
+        report, printed = json.loads(path.read_text()), json.loads(printed)
+        assert list(report)[:2] == ["tool_version", "config"]
+        del report["config"]["report"], printed["config"]["report"]
+        assert report == printed
 
 
 class TestAnalyze:

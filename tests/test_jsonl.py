@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from iconcap import IoFailure, SchemaViolation
 from iconcap.cli import run
-from iconcap.jsonl import SPLITS, read_captions, write_atomic, write_captions
+from iconcap.jsonl import (SPLITS, _echo, read_captions, write_atomic,
+                           write_captions)
 from synth import write_corpus
 
 _DECODE = json.JSONDecoder().decode
@@ -26,7 +27,7 @@ def reference_read_captions(path):
     def bad_key(row, key, expected):
         if key not in row:
             return f"key {key!r} is missing"
-        return f"key {key!r} must be {expected}, got {json.dumps(row[key])}"
+        return f"key {key!r} must be {expected}, got {_echo(row[key])}"
 
     try:
         with open(path, encoding="utf-8") as fh:
@@ -41,7 +42,7 @@ def reference_read_captions(path):
                         from None
                 if type(row) is not dict:
                     raise violation(lineno, "expected a JSON object, "
-                                            f"got {json.dumps(row)}")
+                                            f"got {_echo(row)}")
                 image_id = row.get("image_id")
                 if type(image_id) is not str:
                     if type(image_id) is not int:
@@ -182,6 +183,27 @@ class TestReadCaptions:
         path.write_bytes(b'{"image_id": "a", "caption": "\xff"}\n')
         with pytest.raises(IoFailure, match="caps.jsonl"):
             list(read_captions(path))
+
+    def test_any_nesting_depth_is_schema_violation(self, tmp_path):
+        # a value just inside the decoder's depth limit must not exhaust
+        # the stack when the message echoes it
+        path = tmp_path / "caps.jsonl"
+        for depth in range(1, 1101):
+            value = "[" * depth + "]" * depth
+            for line in (value, f'{{"image_id": {value}}}'):
+                path.write_text(line + "\n")
+                with pytest.raises(SchemaViolation):
+                    list(read_captions(path))
+
+    def test_wide_value_gives_a_short_message(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        zeros = "[" + ",".join(["0"] * 100_000) + "]"
+        for line in (zeros, f'{{"image_id": {zeros}}}'):
+            (tmp_path / "wide.jsonl").write_text(line + "\n")
+            with pytest.raises(SchemaViolation,
+                               match="got an array of 100000 items") as info:
+                list(read_captions("wide.jsonl"))
+            assert len(str(info.value).encode()) < 200
 
     @settings(max_examples=150,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
