@@ -121,15 +121,16 @@ def frequency_baseline(
 ) -> list[tuple[str, str]]:
     """Assign every test id the most frequent training caption.
 
-    Frequency ties break lexicographically.  Returns (image_id, caption)
-    pairs sorted by id, ready for JSONL export as evaluation candidates.
+    Frequency ties break lexicographically.  Returns one (image_id,
+    caption) pair per distinct id, sorted by id, ready for JSONL export as
+    evaluation candidates.
     """
     captions = [r.clean_description for r in train_records if r.clean_description]
     if not captions:
         raise EmptyInput("no training captions")
     frequency = Counter(captions)
     mode = min(frequency, key=lambda c: (-frequency[c], c))
-    return [(image_id, mode) for image_id in sorted(test_ids)]
+    return [(image_id, mode) for image_id in sorted(set(test_ids))]
 
 
 def load_genre_csv(path: str | Path) -> dict[str, str]:

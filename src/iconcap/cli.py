@@ -3,9 +3,11 @@
 Subcommands: ``parse``, ``build``, ``split``, ``eval``, ``analyze``,
 ``baseline``.  Exit codes: 0 success, 1 domain error, 2 usage error.
 All logs go to standard error; primary outputs go to files or stdout.
-Every report leaves through ``_emit_report`` as one envelope holding the
-tool version and the resolved configuration, every stdout document
-through ``_print``; all randomness flows from the single ``--seed`` flag.
+Every handler returns its report payload and ``run`` writes it last, as
+one envelope holding the tool version and the resolved configuration, to
+``--report`` or else to stdout (eval) or stderr (the rest); a failed run
+writes no report.  Every stdout document leaves through ``_print``; all
+randomness flows from the single ``--seed`` flag.
 """
 
 from __future__ import annotations
@@ -161,25 +163,29 @@ def _print(text: str, stream: TextIO | None = None) -> None:
 
 
 def _emit_report(args: argparse.Namespace, payload: dict[str, object],
-                 stream: TextIO | None = None) -> None:
-    """Write the envelope to ``--report``, else to ``stream`` (stderr)."""
-    config = {**vars(args), "tool_version": __version__}
+                 stream: TextIO) -> None:
+    """Write the envelope to ``--report``, else to ``stream``; argv text
+    that is not UTF-8 is backslash-escaped so the report stays UTF-8."""
+    config = {key: value.encode("utf-8", "backslashreplace").decode("utf-8")
+              if isinstance(value, str) else value
+              for key, value in vars(args).items()}
+    config["tool_version"] = __version__
     text = json.dumps({"tool_version": __version__, "config": config,
                        **payload}, ensure_ascii=False, indent=2)
     if args.report:
         write_atomic(args.report, [text, "\n"])
     else:
-        _print(text, stream or sys.stderr)
+        _print(text, stream)
 
 
-def _cmd_parse(args: argparse.Namespace) -> int:
+def _cmd_parse(args: argparse.Namespace) -> dict[str, object]:
     notation = parse_notation(args.code)
     _print(json.dumps({
         "base": list(notation.base),
         "keys": list(notation.keys),
         "qualifiers": list(notation.qualifiers),
     }, ensure_ascii=False))
-    return 0
+    return {}
 
 
 def _load_store(args: argparse.Namespace) -> CorrelateStore:
@@ -188,7 +194,7 @@ def _load_store(args: argparse.Namespace) -> CorrelateStore:
     return CorrelateStore.from_tsv(args.correlates)
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
+def _cmd_build(args: argparse.Namespace) -> dict[str, object]:
     annotations = load_annotations(args.annotations)
     store = _load_store(args)
     cfg = CleaningConfig(
@@ -201,11 +207,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
     )
     count = write_records_jsonl(records, args.out)
     _log(args, f"wrote {count} caption records to {args.out}")
-    _emit_report(args, report.as_dict())
-    return 0
+    return report.as_dict()
 
 
-def _cmd_split(args: argparse.Namespace) -> int:
+def _cmd_split(args: argparse.Namespace) -> dict[str, object]:
     # the map names the file and the line of a repeated id
     captions = load_caption_map(args.infile)
     cfg = SplitConfig(seed=args.seed, n_val=args.val, n_test=args.test)
@@ -221,26 +226,23 @@ def _cmd_split(args: argparse.Namespace) -> int:
             _log(args, f"  {split}: {count}")
     counts = {s: sum(1 for r in records if r.split == s)
               for s in ("train", "val", "test")}
-    _emit_report(args, {"splits": counts})
-    return 0
+    return {"splits": counts}
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> dict[str, object]:
     config = EvalConfig(strip_punctuation=not args.keep_punctuation)
     report = evaluate(args.candidates, args.references, config)
-    _emit_report(args, report.as_dict(x100=args.x100), sys.stdout)
     if args.csv:
         write_atomic(args.csv, [report.to_csv(x100=args.x100)])
         _log(args, f"wrote per-example CSV to {args.csv}")
-    scale = 100.0 if args.x100 else 1.0
-    summary = " ".join(
-        f"{name}={report.corpus[name] * scale:.4f}" for name in report.corpus
-    )
+    payload = report.as_dict(x100=args.x100)
+    summary = " ".join(f"{name}={score:.4f}"
+                       for name, score in payload["corpus"].items())
     _log(args, f"corpus: {summary}")
-    return 0
+    return payload
 
 
-def _cmd_analyze_genres(args: argparse.Namespace) -> int:
+def _cmd_analyze_genres(args: argparse.Namespace) -> dict[str, object]:
     captions = load_caption_map(args.captions)
     genres = load_genre_csv(args.genres)
     records = join_genres(captions, genres)
@@ -248,19 +250,18 @@ def _cmd_analyze_genres(args: argparse.Namespace) -> int:
     write_atomic(args.out, [distribution.to_csv()])
     _log(args, f"wrote {len(distribution.phrases)} phrases x "
                f"{len(distribution.genres)} genres to {args.out}")
-    _emit_report(args, {
+    return {
         "joined_records": len(records),
         "phrases": len(distribution.phrases),
         "genres": distribution.genres,
-    })
-    return 0
+    }
 
 
-def _cmd_analyze_lengths(args: argparse.Namespace) -> int:
+def _cmd_analyze_lengths(args: argparse.Namespace) -> dict[str, object]:
     captions = load_caption_map(args.captions)
     stats = length_stats(list(captions.values()))
     _print(json.dumps(stats, ensure_ascii=False, indent=2))
-    return 0
+    return {}
 
 
 def _read_test_ids(path: str) -> list[str]:
@@ -274,7 +275,7 @@ def _read_test_ids(path: str) -> list[str]:
             if split in (None, "test")]
 
 
-def _cmd_baseline(args: argparse.Namespace) -> int:
+def _cmd_baseline(args: argparse.Namespace) -> dict[str, object]:
     records = read_records_jsonl(args.train)
     if any(r.split for r in records):
         records = [r for r in records if r.split == "train"]
@@ -283,7 +284,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     write_captions(args.out, ((image_id, caption, None)
                               for image_id, caption in pairs))
     _log(args, f"wrote {len(pairs)} baseline candidates to {args.out}")
-    return 0
+    return {"candidates": len(pairs)}
 
 
 _HANDLERS = {
@@ -307,10 +308,13 @@ def run(argv: list[str] | None = None) -> int:
     key = (args.command,) if args.command != "analyze" \
         else (args.command, args.analysis)
     try:
-        return _HANDLERS[key](args)
+        payload = _HANDLERS[key](args)
+        _emit_report(args, payload,
+                     sys.stdout if args.command == "eval" else sys.stderr)
     except (IconcapError, OSError) as exc:
         print(f"iconcap {args.command}: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

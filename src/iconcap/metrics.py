@@ -32,7 +32,6 @@ import csv
 import io
 import json
 import math
-import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -277,31 +276,21 @@ def _align(
     reference: tuple[str, ...],
     cand_stems: list[str],
     ref_stems: list[str],
-    synonyms: dict[str, set[str]] | None,
 ) -> list[tuple[int, int]]:
-    """Greedy unigram alignment: exact, then stem, then synonym-table stage."""
+    """Greedy unigram alignment: exact stage, then stem stage."""
     cand_free = [True] * len(candidate)
     ref_free = [True] * len(reference)
     matches: list[tuple[int, int]] = []
-
-    def run_stage(cand_keys, ref_keys, equal=operator.eq) -> None:
+    for cand_keys, ref_keys in ((candidate, reference), (cand_stems, ref_stems)):
         for i, c_key in enumerate(cand_keys):
             if not cand_free[i]:
                 continue
             for j, r_key in enumerate(ref_keys):
-                if ref_free[j] and equal(c_key, r_key):
+                if ref_free[j] and c_key == r_key:
                     cand_free[i] = False
                     ref_free[j] = False
                     matches.append((i, j))
                     break
-
-    run_stage(candidate, reference)
-    run_stage(cand_stems, ref_stems)
-    if synonyms:
-        run_stage(
-            candidate, reference,
-            lambda c, r: r in synonyms.get(c, ()) or c in synonyms.get(r, ()),
-        )
     matches.sort()
     return matches
 
@@ -317,7 +306,6 @@ def _count_chunks(matches: list[tuple[int, int]]) -> int:
 def _meteor(
     pair: EvalPair, stem_memo: dict[str, str],
     alpha: float, gamma: float, theta: float,
-    synonyms: dict[str, set[str]] | None,
 ) -> float:
     if not pair.candidate:
         return 0.0
@@ -327,7 +315,7 @@ def _meteor(
         if not ref:
             continue
         matches = _align(pair.candidate, ref, cand_stems,
-                         _stems(ref, stem_memo), synonyms)
+                         _stems(ref, stem_memo))
         m = len(matches)
         if m == 0:
             continue
@@ -348,16 +336,14 @@ def meteor(
     alpha: float = DEFAULT_METEOR_ALPHA,
     gamma: float = DEFAULT_METEOR_GAMMA,
     theta: float = DEFAULT_METEOR_THETA,
-    synonyms: dict[str, set[str]] | None = None,
 ) -> float:
     """Unigram-alignment F-mean with a fragmentation penalty; max over refs.
 
     With m aligned unigrams, P = m/|cand|, R = m/|ref|,
     F = P*R / (alpha*P + (1-alpha)*R), penalty = gamma*(chunks/m)**theta,
-    score = F*(1-penalty).  Zero when nothing aligns.  ``synonyms`` is an
-    optional match table for a third alignment stage; none ships.
+    score = F*(1-penalty).  Zero when nothing aligns.
     """
-    return _meteor(pair, {}, alpha, gamma, theta, synonyms)
+    return _meteor(pair, {}, alpha, gamma, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +522,7 @@ def evaluate_pairs(
         ref_len_sum += ref_len
         row["meteor"] = _meteor(
             pair, stem_memo, config.meteor_alpha, config.meteor_gamma,
-            config.meteor_theta, None,
+            config.meteor_theta,
         )
         row["rouge_l"] = rouge_l(pair, config.rouge_beta)
         row["cider"] = _cider_score(cand_counts, ref_counts, idf, idf_default)

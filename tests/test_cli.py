@@ -170,6 +170,22 @@ class TestMalformedCaptions:
             '{"image_id": "{a}", "caption": "sea."}\n'
         )
 
+    def test_repeated_test_id_gets_one_candidate(self, tmp_path, capsys):
+        train = tmp_path / "train.jsonl"
+        train.write_text('{"image_id": "t", "caption": "sea."}\n')
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text('{"image_id": "b", "caption": "sea."}\n')
+        ids = tmp_path / "ids.txt"
+        ids.write_text("b\nb\n")
+        out = tmp_path / "cands.jsonl"
+        assert run(["baseline", "--train", str(train), "--ids", str(ids),
+                    "--out", str(out), "--quiet"]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--candidates", str(out),
+                    "--references", str(refs), "--quiet"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["examples"]) == 1
+
+
 
 def _build_argv(tmp_path, bad_flag, bad):
     """Build arguments that read ``bad`` through ``bad_flag``."""
@@ -436,10 +452,12 @@ class TestPipeline:
 
 
 class TestReportEnvelope:
-    @pytest.mark.parametrize("command", ["build", "split", "genres", "eval"])
+    @pytest.mark.parametrize("command", ["build", "split", "genres", "eval",
+                                         "parse", "lengths", "baseline"])
     def test_report_opens_with_envelope(self, tmp_path, capsys, command):
         """The report starts with tool_version and config, and the one
-        printed to the default stream equals the --report file."""
+        printed to the default stream equals the --report file; parse and
+        lengths keep their own document on stdout either way."""
         ann, tsv = write_corpus(tmp_path, n_images=30, seed=2)
         records = tmp_path / "records.jsonl"
         build = ["build", "--annotations", str(ann), "--correlates", str(tsv),
@@ -450,6 +468,8 @@ class TestReportEnvelope:
         genres = tmp_path / "genres.csv"
         genres.write_text("image_id,genre\n" + "".join(
             f"{image_id},g{n % 3}\n" for n, image_id in enumerate(ids)))
+        test_ids = tmp_path / "ids.txt"
+        test_ids.write_text("".join(f"{image_id}\n" for image_id in ids[:3]))
         argv = {
             "build": build,
             "split": ["split", "--in", str(records), "--val", "3",
@@ -459,19 +479,41 @@ class TestReportEnvelope:
                        "--out", str(tmp_path / "dist.csv")],
             "eval": ["eval", "--candidates", str(records),
                      "--references", str(records)],
+            "parse": ["parse", "73A(+1)"],
+            "lengths": ["analyze", "lengths", "--captions", str(records)],
+            "baseline": ["baseline", "--train", str(records),
+                         "--ids", str(test_ids),
+                         "--out", str(tmp_path / "cands.jsonl")],
         }[command]
         capsys.readouterr()
         assert run([*argv, "--quiet"]) == 0
         captured = capsys.readouterr()
         printed, other = (captured.out, captured.err) if command == "eval" \
             else (captured.err, captured.out)
-        assert other == ""
+        if command in ("parse", "lengths"):
+            assert "tool_version" not in json.loads(other)
+        else:
+            assert other == ""
         path = tmp_path / "report.json"
         assert run([*argv, "--quiet", "--report", str(path)]) == 0
+        rerun = capsys.readouterr()
+        assert (rerun.out, rerun.err) == (other, "")
         report, printed = json.loads(path.read_text()), json.loads(printed)
         assert list(report)[:2] == ["tool_version", "config"]
         del report["config"]["report"], printed["config"]["report"]
         assert report == printed
+
+    def test_undecodable_argv_path_is_escaped(self, tmp_path):
+        """A file name that is not UTF-8 still leaves a UTF-8 report."""
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"image_id": "a", "caption": "sea."}\n')
+        out = tmp_path / "s\udcff.jsonl"
+        path = tmp_path / "report.json"
+        assert run(["split", "--in", str(records), "--val", "0", "--test", "0",
+                    "--out", str(out), "--report", str(path), "--quiet"]) == 0
+        assert out.exists()
+        report = json.loads(path.read_bytes().decode("utf-8"))
+        assert report["config"]["out"].endswith("s\\udcff.jsonl")
 
 
 class TestAnalyze:
@@ -588,3 +630,13 @@ class TestEvalPresentation:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "image_id,bleu1,bleu2,bleu3,bleu4,meteor,rouge_l,cider"
         assert len(lines) == 2
+
+    def test_unwritable_csv_writes_no_report(self, tmp_path, capsys):
+        cands, refs = self._files(tmp_path)
+        path = tmp_path / "report.json"
+        assert run(["eval", "--candidates", str(cands),
+                    "--references", str(refs), "--report", str(path),
+                    "--csv", str(tmp_path / "missing" / "report.csv"),
+                    "--quiet"]) == 1
+        assert "cannot write" in capsys.readouterr().err
+        assert not path.exists()
