@@ -16,7 +16,7 @@ import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .errors import DuplicateId, InsufficientRecords, NoResolvableCodes
+from .errors import DuplicateId, InsufficientRecords
 from .iconclass import (
     AnnotationRecord,
     CorrelateStore,
@@ -92,26 +92,6 @@ def _resolve_code(
     except MalformedNotation:
         return None
     return correlate(notation, store, parent_fallback=parent_fallback)
-
-
-def build_raw(
-    record: AnnotationRecord,
-    store: CorrelateStore,
-    parent_fallback: bool = False,
-) -> str:
-    """Join the record's correlates with ", " in code order, uncleaned.
-
-    Codes that miss the store are skipped (or resolved through the parent
-    chain when ``parent_fallback`` is set).  Raises NoResolvableCodes when
-    nothing resolves.
-    """
-    found = (_resolve_code(code, store, parent_fallback) for code in record.codes)
-    texts = [text for text in found if text is not None]
-    if not texts:
-        raise NoResolvableCodes(
-            f"no code of {record.image_id!r} resolves to a correlate"
-        )
-    return ", ".join(texts)
 
 
 _GROUP_RE = re.compile(r"\([^()]*\)")
@@ -207,6 +187,9 @@ def build_dataset(
 ) -> tuple[list[CaptionRecord], BuildReport]:
     """One CaptionRecord (split unset) per annotation with a non-empty clean.
 
+    The raw description joins the codes' correlates with ", " in code
+    order; a code that is malformed or misses the store (and, with
+    ``parent_fallback``, its parent chain) is skipped and counted.
     Annotations whose codes all miss the store, or whose cleaned text is
     empty, are dropped and counted in the report.  Distinct codes and raw
     descriptions are resolved and cleaned once; ``jobs`` is accepted and
@@ -303,8 +286,15 @@ def write_records_jsonl(records: list[CaptionRecord], path: str | Path) -> int:
 
 
 def read_records_jsonl(path: str | Path) -> list[CaptionRecord]:
-    """Read caption records (``image_id``/``caption``, optional ``split``)."""
-    return [
-        CaptionRecord(image_id, "", caption, split)
-        for _, image_id, caption, split in read_captions(path)
-    ]
+    """Read caption records (``image_id``/``caption``, optional ``split``).
+
+    Raises DuplicateId naming the file and the line of a repeated id.
+    """
+    records: list[CaptionRecord] = []
+    seen: set[str] = set()
+    for lineno, image_id, caption, split in read_captions(path):
+        if image_id in seen:
+            raise DuplicateId(image_id, f"{path}: line {lineno}")
+        seen.add(image_id)
+        records.append(CaptionRecord(image_id, "", caption, split))
+    return records

@@ -6,8 +6,9 @@ All logs go to standard error; primary outputs go to files or stdout.
 Every handler returns its report payload and ``run`` writes it last, as
 one envelope holding the tool version and the resolved configuration, to
 ``--report`` or else to stdout (eval) or stderr (the rest); a failed run
-writes no report.  Every stdout document leaves through ``_print``; all
-randomness flows from the single ``--seed`` flag.
+writes no report.  Every stdout document leaves through ``_print``.
+Every subcommand takes ``--report``, ``--quiet`` and ``--jobs``; the rest
+of its flags are its own (``split --seed`` holds the only randomness).
 """
 
 from __future__ import annotations
@@ -43,12 +44,8 @@ from .metrics import EvalConfig, evaluate, load_caption_map
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomized steps (default 0)")
     parser.add_argument("--report", metavar="PATH",
                         help="write the run report JSON here instead of stderr/stdout")
-    parser.add_argument("--x100", action="store_true",
-                        help="present metric scores multiplied by 100")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress logs on stderr")
     parser.add_argument("--jobs", type=int, default=1,
@@ -110,6 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="JSONL")
     p.add_argument("--export-dir", metavar="DIR",
                    help="also write train/val/test caption files here")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the split permutation (default 0)")
     _common_flags(p)
 
     p = sub.add_parser("eval", help="score candidate captions against references")
@@ -118,6 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", metavar="PATH", help="also write per-example CSV")
     p.add_argument("--keep-punctuation", action="store_true",
                    help="score punctuation tokens instead of dropping them")
+    p.add_argument("--x100", action="store_true",
+                   help="present metric scores multiplied by 100")
     _common_flags(p)
 
     p = sub.add_parser("analyze", help="caption distribution analyses")
@@ -169,7 +170,6 @@ def _emit_report(args: argparse.Namespace, payload: dict[str, object],
     config = {key: value.encode("utf-8", "backslashreplace").decode("utf-8")
               if isinstance(value, str) else value
               for key, value in vars(args).items()}
-    config["tool_version"] = __version__
     text = json.dumps({"tool_version": __version__, "config": config,
                        **payload}, ensure_ascii=False, indent=2)
     if args.report:
@@ -198,7 +198,8 @@ def _cmd_build(args: argparse.Namespace) -> dict[str, object]:
     annotations = load_annotations(args.annotations)
     store = _load_store(args)
     cfg = CleaningConfig(
-        uppercase_stoplist=tuple(args.stoplist) if args.stoplist else ("BB",),
+        uppercase_stoplist=tuple(args.stoplist
+                                 or CleaningConfig.uppercase_stoplist),
         drop_etc=not args.keep_etc,
         dedup=not args.no_dedup,
     )

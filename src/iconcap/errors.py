@@ -26,10 +26,6 @@ class SchemaViolation(IconcapError):
     """An input file violated its declared schema; the message names the key."""
 
 
-class NoResolvableCodes(IconcapError):
-    """None of an annotation's codes resolved to a correlate."""
-
-
 class InsufficientRecords(IconcapError):
     """Fewer records than the requested validation + test carve-out."""
 

@@ -5,8 +5,9 @@ punctuation isolated into standalone tokens).  The evaluation pipeline
 drops punctuation-only tokens before scoring, so metric values reflect
 content-word overlap; turn this off with ``EvalConfig.strip_punctuation``.
 
-Parameter defaults were calibrated once against the golden per-example
-scores and are frozen here: BLEU's zero-precision substitute comes from
+The metric parameters were calibrated once against the golden
+per-example scores and are constants of :class:`EvalConfig`, not fields:
+BLEU's zero-precision substitute comes from
 ``tools/smoothing_calibration.py``, and the METEOR fragmentation penalty
 (gamma, theta) is the pair that reproduces the golden fourth pair within
 its tolerance.
@@ -36,6 +37,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 from .errors import DuplicateId, EmptyCorpus, MissingReference
 from .jsonl import read_captions
@@ -428,14 +430,16 @@ def cider(pairs: list[EvalPair], max_n: int = 4) -> tuple[list[float], float]:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Metric parameters; ``jobs`` is accepted and ignored (serial scoring)."""
+    """What an evaluation run may set: ``strip_punctuation``, and ``jobs``,
+    which is accepted and ignored (scoring is serial).  The metric
+    parameters are class constants, the same for every run."""
 
-    max_n: int = 4
-    smoothing_epsilon: float = DEFAULT_SMOOTHING_EPSILON
-    rouge_beta: float = DEFAULT_ROUGE_BETA
-    meteor_alpha: float = DEFAULT_METEOR_ALPHA
-    meteor_gamma: float = DEFAULT_METEOR_GAMMA
-    meteor_theta: float = DEFAULT_METEOR_THETA
+    max_n: ClassVar[int] = 4
+    smoothing_epsilon: ClassVar[float] = DEFAULT_SMOOTHING_EPSILON
+    rouge_beta: ClassVar[float] = DEFAULT_ROUGE_BETA
+    meteor_alpha: ClassVar[float] = DEFAULT_METEOR_ALPHA
+    meteor_gamma: ClassVar[float] = DEFAULT_METEOR_GAMMA
+    meteor_theta: ClassVar[float] = DEFAULT_METEOR_THETA
     strip_punctuation: bool = True
     jobs: int = 1
 

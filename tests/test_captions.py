@@ -13,14 +13,15 @@ from iconcap import (
     CorrelateStore,
     DuplicateId,
     InsufficientRecords,
-    NoResolvableCodes,
+    MalformedNotation,
     SplitConfig,
     assign_splits,
     build_dataset,
-    build_raw,
     clean_description,
+    correlate,
     export_jsonl,
     load_annotations,
+    parse_notation,
 )
 from iconcap import captions
 from goldens import CLEANING_PAIRS, normalize_terminal
@@ -29,27 +30,41 @@ from synth import write_corpus
 STORE = CorrelateStore.from_pairs({"73": "x", "11F": "y", "25": "sea"})
 
 
+def _build_one(codes, parent_fallback=False):
+    """build_dataset over one image with ``codes`` against STORE."""
+    return build_dataset([AnnotationRecord("a.jpg", codes)], STORE,
+                         parent_fallback=parent_fallback)
+
+
 class TestBuildRaw:
+    """The raw description build_dataset joins from an image's codes."""
+
     def test_joined_in_code_order(self):
-        record = AnnotationRecord("a.jpg", ("73", "11F"))
-        assert build_raw(record, STORE) == "x, y"
+        records, _ = _build_one(("73", "11F"))
+        assert records[0].raw_description == "x, y"
+        records, _ = _build_one(("11F", "73"))
+        assert records[0].raw_description == "y, x"
 
     def test_single_correlate(self):
-        assert build_raw(AnnotationRecord("a.jpg", ("25",)), STORE) == "sea"
+        records, _ = _build_one(("25",))
+        assert records[0].raw_description == "sea"
 
     def test_no_resolvable_codes(self):
-        with pytest.raises(NoResolvableCodes):
-            build_raw(AnnotationRecord("a.jpg", ("99",)), STORE)
+        records, report = _build_one(("99", "73("))
+        assert records == []
+        assert (report.dropped_empty, report.unresolved_codes) == (1, 2)
 
     def test_missing_codes_skipped(self):
-        record = AnnotationRecord("a.jpg", ("73", "99", "11F"))
-        assert build_raw(record, STORE) == "x, y"
+        records, report = _build_one(("73", "99", "11F"))
+        assert records[0].raw_description == "x, y"
+        assert report.unresolved_codes == 1
 
     def test_parent_fallback(self):
-        record = AnnotationRecord("a.jpg", ("25G",))
-        with pytest.raises(NoResolvableCodes):
-            build_raw(record, STORE)
-        assert build_raw(record, STORE, parent_fallback=True) == "sea"
+        records, report = _build_one(("25G",))
+        assert records == [] and report.dropped_empty == 1
+        records, report = _build_one(("25G",), parent_fallback=True)
+        assert records[0].raw_description == "sea"
+        assert report.unresolved_codes == 0
 
 
 class TestCleanDescription:
@@ -201,16 +216,29 @@ def test_rerun_cases_need_a_second_pass(raw):
     assert captions._clean_pass(once, cfg) != once
 
 
+def reference_raw(record, store):
+    """The record's correlates joined with ", " in code order, each code
+    resolved on its own; None when no code resolves.
+
+    The oracle for build_dataset, which resolves each distinct code once.
+    """
+    texts = []
+    for code in record.codes:
+        try:
+            notation = parse_notation(code)
+        except MalformedNotation:
+            continue
+        text = correlate(notation, store)
+        if text is not None:
+            texts.append(text)
+    return ", ".join(texts) if texts else None
+
+
 def test_one_pass_per_distinct_raw(tmp_path, monkeypatch):
     ann, tsv = write_corpus(tmp_path, n_images=300, seed=2)
     annotations = load_annotations(ann)
     store = CorrelateStore.from_tsv(tsv)
-    raws = set()
-    for record in annotations:
-        try:
-            raws.add(build_raw(record, store))
-        except NoResolvableCodes:
-            pass
+    raws = {reference_raw(record, store) for record in annotations} - {None}
     calls = []
     real_pass = captions._clean_pass
 
@@ -219,8 +247,11 @@ def test_one_pass_per_distinct_raw(tmp_path, monkeypatch):
         return real_pass(raw, cfg)
 
     monkeypatch.setattr(captions, "_clean_pass", counting_pass)
-    build_dataset(annotations, store)
+    records, _ = build_dataset(annotations, store)
     assert sorted(calls) == sorted(raws)
+    by_id = {record.image_id: record for record in annotations}
+    assert all(r.raw_description == reference_raw(by_id[r.image_id], store)
+               for r in records)
 
 
 class TestBuildDataset:

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, output formats, end-to-end pipeline runs."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iconcap import cli
 from iconcap.cli import run
 from synth import write_corpus
 
@@ -36,6 +38,32 @@ class TestExitCodes:
 
     def test_no_arguments_is_usage_error(self):
         assert run([]) == 2
+
+    @pytest.mark.parametrize("flag", ["--seed", "--x100"])
+    @pytest.mark.parametrize("command", [
+        ["parse", "73"],
+        ["build", "--annotations", "a.json", "--correlates", "c.tsv",
+         "--out", "o.jsonl"],
+        ["split", "--in", "r.jsonl", "--val", "0", "--test", "0",
+         "--out", "o.jsonl"],
+        ["eval", "--candidates", "c.jsonl", "--references", "r.jsonl"],
+        ["analyze", "genres", "--captions", "c.jsonl", "--genres", "g.csv",
+         "--out", "o.csv"],
+        ["analyze", "lengths", "--captions", "c.jsonl"],
+        ["baseline", "--train", "t.jsonl", "--ids", "i.txt",
+         "--out", "o.jsonl"],
+    ], ids=lambda argv: argv[1] if argv[0] == "analyze" else argv[0])
+    def test_seed_and_x100_belong_to_split_and_eval(self, capsys, command,
+                                                     flag):
+        """--seed is split's and --x100 is eval's; elsewhere either is an
+        unrecognized argument, not a value recorded and never used."""
+        argv = [*command, flag] + (["3"] if flag == "--seed" else [])
+        if command[0] == {"--seed": "split", "--x100": "eval"}[flag]:
+            args = cli._build_parser().parse_args(argv)
+            assert getattr(args, flag[2:]) == (3 if flag == "--seed" else True)
+        else:
+            assert run(argv) == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_eval_missing_file_names_path(self, tmp_path, capsys):
         refs = tmp_path / "refs.jsonl"
@@ -169,6 +197,22 @@ class TestMalformedCaptions:
             '{"image_id": "b", "caption": "sea."}\n'
             '{"image_id": "{a}", "caption": "sea."}\n'
         )
+
+    def test_repeated_train_id_is_domain_error(self, tmp_path, capsys):
+        """A repeated --train id is rejected, not counted twice."""
+        train = tmp_path / "train.jsonl"
+        train.write_text("".join(
+            f'{{"image_id": "{image_id}", "caption": "{caption}"}}\n'
+            for image_id, caption in [("a", "x."), ("a", "x."), ("b", "y."),
+                                      ("c", "y.")]))
+        ids = tmp_path / "ids.txt"
+        ids.write_text("t\n")
+        out = tmp_path / "cands.jsonl"
+        assert run(["baseline", "--train", str(train), "--ids", str(ids),
+                    "--out", str(out), "--quiet"]) == 1
+        assert f"{train}: line 2: duplicate image id 'a'" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeated_test_id_gets_one_candidate(self, tmp_path, capsys):
         train = tmp_path / "train.jsonl"
@@ -416,7 +460,7 @@ class TestPipeline:
             "bleu1", "bleu2", "bleu3", "bleu4", "meteor", "rouge_l", "cider",
         }
         assert len(report["examples"]) == 6
-        assert "seed" in report["config"]
+        assert "seed" not in report["config"]
         assert report["tool_version"]
 
         split_report = json.loads(
@@ -451,40 +495,61 @@ class TestPipeline:
         assert serial.read_bytes() == parallel.read_bytes()
 
 
+def _envelope_argv(tmp_path, command):
+    """Arguments for a successful run of ``command`` on a small corpus."""
+    ann, tsv = write_corpus(tmp_path, n_images=30, seed=2)
+    records = tmp_path / "records.jsonl"
+    build = ["build", "--annotations", str(ann), "--correlates", str(tsv),
+             "--out", str(records)]
+    assert run([*build, "--quiet"]) == 0
+    ids = [json.loads(line)["image_id"]
+           for line in records.read_text().splitlines()]
+    genres = tmp_path / "genres.csv"
+    genres.write_text("image_id,genre\n" + "".join(
+        f"{image_id},g{n % 3}\n" for n, image_id in enumerate(ids)))
+    test_ids = tmp_path / "ids.txt"
+    test_ids.write_text("".join(f"{image_id}\n" for image_id in ids[:3]))
+    return {
+        "build": build,
+        "split": ["split", "--in", str(records), "--val", "3",
+                  "--test", "3", "--out", str(tmp_path / "split.jsonl")],
+        "genres": ["analyze", "genres", "--captions", str(records),
+                   "--genres", str(genres),
+                   "--out", str(tmp_path / "dist.csv")],
+        "eval": ["eval", "--candidates", str(records),
+                 "--references", str(records)],
+        "parse": ["parse", "73A(+1)"],
+        "lengths": ["analyze", "lengths", "--captions", str(records)],
+        "baseline": ["baseline", "--train", str(records),
+                     "--ids", str(test_ids),
+                     "--out", str(tmp_path / "cands.jsonl")],
+    }[command]
+
+
+_ENVELOPE_COMMANDS = ["build", "split", "genres", "eval", "parse", "lengths",
+                      "baseline"]
+
+
+def _parser_dests(argv):
+    """The dests of the parsers ``argv`` passes through: the names
+    ``vars(args)`` holds (help and --version store nothing)."""
+    parser, dests = cli._build_parser(), set()
+    while parser:
+        actions = [a for a in parser._actions if a.default != argparse.SUPPRESS]
+        dests |= {a.dest for a in actions}
+        sub = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+        parser = sub and sub[0].choices[next(arg for arg in argv
+                                             if arg in sub[0].choices)]
+    return dests
+
+
 class TestReportEnvelope:
-    @pytest.mark.parametrize("command", ["build", "split", "genres", "eval",
-                                         "parse", "lengths", "baseline"])
+    @pytest.mark.parametrize("command", _ENVELOPE_COMMANDS)
     def test_report_opens_with_envelope(self, tmp_path, capsys, command):
         """The report starts with tool_version and config, and the one
         printed to the default stream equals the --report file; parse and
         lengths keep their own document on stdout either way."""
-        ann, tsv = write_corpus(tmp_path, n_images=30, seed=2)
-        records = tmp_path / "records.jsonl"
-        build = ["build", "--annotations", str(ann), "--correlates", str(tsv),
-                 "--out", str(records)]
-        assert run([*build, "--quiet"]) == 0
-        ids = [json.loads(line)["image_id"]
-               for line in records.read_text().splitlines()]
-        genres = tmp_path / "genres.csv"
-        genres.write_text("image_id,genre\n" + "".join(
-            f"{image_id},g{n % 3}\n" for n, image_id in enumerate(ids)))
-        test_ids = tmp_path / "ids.txt"
-        test_ids.write_text("".join(f"{image_id}\n" for image_id in ids[:3]))
-        argv = {
-            "build": build,
-            "split": ["split", "--in", str(records), "--val", "3",
-                      "--test", "3", "--out", str(tmp_path / "split.jsonl")],
-            "genres": ["analyze", "genres", "--captions", str(records),
-                       "--genres", str(genres),
-                       "--out", str(tmp_path / "dist.csv")],
-            "eval": ["eval", "--candidates", str(records),
-                     "--references", str(records)],
-            "parse": ["parse", "73A(+1)"],
-            "lengths": ["analyze", "lengths", "--captions", str(records)],
-            "baseline": ["baseline", "--train", str(records),
-                         "--ids", str(test_ids),
-                         "--out", str(tmp_path / "cands.jsonl")],
-        }[command]
+        argv = _envelope_argv(tmp_path, command)
         capsys.readouterr()
         assert run([*argv, "--quiet"]) == 0
         captured = capsys.readouterr()
@@ -502,6 +567,19 @@ class TestReportEnvelope:
         assert list(report)[:2] == ["tool_version", "config"]
         del report["config"]["report"], printed["config"]["report"]
         assert report == printed
+
+    @pytest.mark.parametrize("command", _ENVELOPE_COMMANDS)
+    def test_config_is_the_parsed_flags(self, tmp_path, command):
+        """config holds exactly the subcommand's parsed flags: no echo of
+        tool_version, and no --seed or --x100 where the run ignores it."""
+        path = tmp_path / "report.json"
+        argv = [*_envelope_argv(tmp_path, command), "--quiet",
+                "--report", str(path)]
+        assert run(argv) == 0
+        config = json.loads(path.read_text())["config"]
+        assert set(config) == _parser_dests(argv)
+        assert ("seed" in config, "x100" in config) == \
+            (command == "split", command == "eval")
 
     def test_undecodable_argv_path_is_escaped(self, tmp_path):
         """A file name that is not UTF-8 still leaves a UTF-8 report."""

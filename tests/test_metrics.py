@@ -1,5 +1,6 @@
 """Scorer unit tests, independent oracles, and metric invariants."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -478,6 +479,21 @@ class TestEvaluate:
         parallel = evaluate(cands, refs, EvalConfig(jobs=2))
         assert serial.corpus == parallel.corpus
         assert serial.examples == parallel.examples
+
+    def test_metric_parameters_are_constants(self):
+        """Only strip_punctuation and the ignored jobs can be set; the
+        metric parameters are the frozen defaults."""
+        config = EvalConfig()
+        assert (config.max_n, config.smoothing_epsilon, config.rouge_beta,
+                config.meteor_alpha, config.meteor_gamma,
+                config.meteor_theta) == (
+            4, metrics.DEFAULT_SMOOTHING_EPSILON, metrics.DEFAULT_ROUGE_BETA,
+            metrics.DEFAULT_METEOR_ALPHA, metrics.DEFAULT_METEOR_GAMMA,
+            metrics.DEFAULT_METEOR_THETA)
+        assert [f.name for f in dataclasses.fields(EvalConfig)] == \
+            ["strip_punctuation", "jobs"]
+        with pytest.raises(TypeError):
+            EvalConfig(meteor_alpha=0.5)
 
     def test_corpus_bleu_matches_reference_implementation(self):
         pairs = random_pairs(23, 60)
