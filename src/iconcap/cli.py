@@ -28,7 +28,6 @@ from .analysis import (
     load_genre_csv,
 )
 from .captions import (
-    CaptionRecord,
     CleaningConfig,
     SplitConfig,
     assign_splits,
@@ -39,7 +38,7 @@ from .captions import (
 )
 from .errors import IconcapError, IoFailure
 from .iconclass import CorrelateStore, load_annotations, parse_notation
-from .jsonl import read_captions, reading, write_atomic, write_captions
+from .jsonl import SPLITS, read_captions, reading, write_atomic, write_captions
 from .metrics import EvalConfig, evaluate, load_caption_map
 
 
@@ -212,21 +211,17 @@ def _cmd_build(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _cmd_split(args: argparse.Namespace) -> dict[str, object]:
-    # the map names the file and the line of a repeated id
-    captions = load_caption_map(args.infile)
     cfg = SplitConfig(seed=args.seed, n_val=args.val, n_test=args.test)
-    records = assign_splits([CaptionRecord(image_id, "", caption)
-                             for image_id, caption in captions.items()], cfg)
+    records = assign_splits(read_records_jsonl(args.infile), cfg)
     write_records_jsonl(records, args.out)
     _log(args, f"wrote {len(records)} split records to {args.out}")
     if args.export_dir:
         out_dir = Path(args.export_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for split in ("train", "val", "test"):
+        for split in SPLITS:
             count = export_jsonl(records, out_dir / f"{split}.jsonl", split)
             _log(args, f"  {split}: {count}")
-    counts = {s: sum(1 for r in records if r.split == s)
-              for s in ("train", "val", "test")}
+    counts = {s: sum(1 for r in records if r.split == s) for s in SPLITS}
     return {"splits": counts}
 
 
@@ -269,9 +264,10 @@ def _read_test_ids(path: str) -> list[str]:
     # caption records (test split when marked) when the first non-blank
     # line starts with "{", else one id per line
     with reading(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or not lines[0].startswith("{"):
-        return lines
+        ids = (line.strip() for line in fh if line.strip())
+        first = next(ids, "")
+        if not first.startswith("{"):
+            return [first, *ids] if first else []
     return [image_id for _, image_id, _, split in read_captions(path)
             if split in (None, "test")]
 

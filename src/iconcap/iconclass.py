@@ -15,7 +15,7 @@ outside groups ignored.  A group whose content starts with ``+`` is a key
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import MalformedNotation, SchemaViolation
@@ -24,14 +24,8 @@ from .jsonl import read_json_object, reading
 
 @dataclass(frozen=True)
 class IconclassNotation:
-    """A parsed notation.
+    """A parsed notation: base segments, qualifiers and keys."""
 
-    ``raw`` is the input exactly as ingested and is excluded from equality:
-    two notations are equal when their structure (base segments, qualifiers,
-    keys) is equal.
-    """
-
-    raw: str = field(compare=False)
     base: tuple[str, ...]
     qualifiers: tuple[str, ...]
     keys: tuple[str, ...]
@@ -132,7 +126,6 @@ def parse_notation(raw: str) -> IconclassNotation:
             )
 
     return IconclassNotation(
-        raw=raw,
         base=tuple(segments),
         qualifiers=tuple(qualifiers),
         keys=tuple(keys),
@@ -146,18 +139,14 @@ def parent(n: IconclassNotation) -> IconclassNotation | None:
     character at a time (dropping a segment when it empties).
     """
     if n.keys:
-        trimmed = IconclassNotation("", n.base, n.qualifiers, n.keys[:-1])
-    elif n.qualifiers:
-        trimmed = IconclassNotation("", n.base, n.qualifiers[:-1], n.keys)
-    else:
-        last = n.base[-1]
-        if len(n.base) == 1 and len(last) == 1:
-            return None
-        base = n.base[:-1] if len(last) == 1 else n.base[:-1] + (last[:-1],)
-        trimmed = IconclassNotation("", base, (), ())
-    return IconclassNotation(
-        trimmed.serialize(), trimmed.base, trimmed.qualifiers, trimmed.keys
-    )
+        return IconclassNotation(n.base, n.qualifiers, n.keys[:-1])
+    if n.qualifiers:
+        return IconclassNotation(n.base, n.qualifiers[:-1], n.keys)
+    last = n.base[-1]
+    if len(n.base) == 1 and len(last) == 1:
+        return None
+    base = n.base[:-1] if len(last) == 1 else n.base[:-1] + (last[:-1],)
+    return IconclassNotation(base, (), ())
 
 
 def ancestors(n: IconclassNotation) -> Iterator[IconclassNotation]:
@@ -176,9 +165,6 @@ class CorrelateStore:
 
     def lookup(self, notation: str) -> str | None:
         return self.entries.get(notation)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     @classmethod
     def from_pairs(cls, pairs: dict[str, str]) -> CorrelateStore:

@@ -35,6 +35,7 @@ import json
 import math
 import re
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -174,6 +175,15 @@ def bleu(
     return _bleu_from_stats(*stats, max_n, smoothing_epsilon)
 
 
+def _sum_bleu_stats(
+    stats: Iterable[tuple[list[int], list[int], int, int]],
+) -> tuple[list[int], list[int], int, int]:
+    """Corpus BLEU's sums of per-pair :func:`_bleu_stats`; at least one pair."""
+    clipped, totals, cand_lens, ref_lens = zip(*stats)
+    return ([sum(c) for c in zip(*clipped)], [sum(t) for t in zip(*totals)],
+            sum(cand_lens), sum(ref_lens))
+
+
 def corpus_bleu(
     pairs: list[EvalPair],
     max_n: int = 4,
@@ -182,23 +192,9 @@ def corpus_bleu(
     """BLEU over summed clipped counts and lengths (corpus aggregation)."""
     if not pairs:
         raise EmptyCorpus("corpus BLEU over zero pairs")
-    clipped_sum = [0] * max_n
-    totals_sum = [0] * max_n
-    cand_len_sum = 0
-    ref_len_sum = 0
-    for pair in pairs:
-        clipped, totals, cand_len, ref_len = _bleu_stats(
-            pair, *_pair_counts(pair, max_n)
-        )
-        for n in range(max_n):
-            clipped_sum[n] += clipped[n]
-            totals_sum[n] += totals[n]
-        cand_len_sum += cand_len
-        ref_len_sum += ref_len
-    return _bleu_from_stats(
-        clipped_sum, totals_sum, cand_len_sum, ref_len_sum, max_n,
-        smoothing_epsilon,
-    )
+    stats = _sum_bleu_stats(_bleu_stats(pair, *_pair_counts(pair, max_n))
+                            for pair in pairs)
+    return _bleu_from_stats(*stats, max_n, smoothing_epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -509,21 +505,15 @@ def evaluate_pairs(
     idf, idf_default = _cider_idf(pairs, max_n)
     stem_memo: dict[str, str] = {}
 
-    clipped_sum, totals_sum = [0] * max_n, [0] * max_n
-    cand_len_sum = ref_len_sum = 0
+    pair_stats = []
     rows: list[dict[str, object]] = []
     for pair in pairs:
         cand_counts, ref_counts = _pair_counts(pair, max_n)
         stats = _bleu_stats(pair, cand_counts, ref_counts)
+        pair_stats.append(stats)
         row: dict[str, object] = {"image_id": pair.image_id}
         for n in range(1, max_n + 1):
             row[f"bleu{n}"] = _bleu_from_stats(*stats, n, epsilon)
-        clipped, totals, cand_len, ref_len = stats
-        for i in range(max_n):
-            clipped_sum[i] += clipped[i]
-            totals_sum[i] += totals[i]
-        cand_len_sum += cand_len
-        ref_len_sum += ref_len
         row["meteor"] = _meteor(
             pair, stem_memo, config.meteor_alpha, config.meteor_gamma,
             config.meteor_theta,
@@ -532,7 +522,7 @@ def evaluate_pairs(
         row["cider"] = _cider_score(cand_counts, ref_counts, idf, idf_default)
         rows.append(row)
 
-    corpus_stats = (clipped_sum, totals_sum, cand_len_sum, ref_len_sum)
+    corpus_stats = _sum_bleu_stats(pair_stats)
     corpus = {
         f"bleu{n}": _bleu_from_stats(*corpus_stats, n, epsilon)
         for n in range(1, max_n + 1)

@@ -198,6 +198,28 @@ class TestMalformedCaptions:
             '{"image_id": "{a}", "caption": "sea."}\n'
         )
 
+    def test_ids_form_read_from_first_line_only(self, tmp_path, monkeypatch):
+        """The form is decided on the first non-blank line alone, so a
+        JSONL file is read in full once, by the caption reader."""
+        ids = tmp_path / "ids.jsonl"
+        ids.write_text("\n" + "".join(f'{{"image_id": "i{n}"}}\n'
+                                      for n in range(5)))
+        consumed = []
+        real = cli.reading
+
+        @contextlib.contextmanager
+        def counting(path, *args):
+            with real(path, *args) as fh:
+                def lines():
+                    for line in fh:
+                        consumed.append(line)
+                        yield line
+                yield lines()
+
+        monkeypatch.setattr(cli, "reading", counting)
+        assert cli._read_test_ids(str(ids)) == [f"i{n}" for n in range(5)]
+        assert consumed == ["\n", '{"image_id": "i0"}\n']
+
     def test_repeated_train_id_is_domain_error(self, tmp_path, capsys):
         """A repeated --train id is rejected, not counted twice."""
         train = tmp_path / "train.jsonl"
