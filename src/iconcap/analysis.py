@@ -1,9 +1,13 @@
 """Post-hoc caption analysis: genre cross-tabulation, lengths, baseline.
 
 The genre distribution counts how often the most frequent caption units
-(whole captions or comma-separated segments) occur under each genre label.
-The frequency baseline emits the single most common training caption for
-every test id, giving the evaluation pipeline a model-free candidate source.
+occur under each genre label.  A unit is a whole caption or a segment: a
+comma piece trimmed of whitespace and trailing periods, empty pieces
+dropped.  Length statistics count tokenizer tokens, punctuation included.
+Both analyses split each caption at commas once and trim or tokenize each
+distinct piece once per call.  The frequency baseline emits the single
+most common training caption for every test id, giving the evaluation
+pipeline a model-free candidate source.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .captions import CaptionRecord
-from .errors import EmptyInput, SchemaViolation
+from .errors import DuplicateId, EmptyInput, SchemaViolation
 from .jsonl import reading
 from .metrics import tokenize
 
@@ -48,18 +52,7 @@ class GenreDistribution:
         return buf.getvalue()
 
 
-def caption_units(caption: str, unit: str) -> list[str]:
-    """Caption as one whole unit or as trimmed comma segments."""
-    if unit == "whole_caption":
-        return [caption]
-    if unit == "segment":
-        units = []
-        for segment in caption.split(","):
-            text = segment.strip().rstrip(".").strip()
-            if text:
-                units.append(text)
-        return units
-    raise ValueError(f"unknown unit {unit!r}")
+UNITS = ("segment", "whole_caption")
 
 
 def genre_distribution(
@@ -74,29 +67,63 @@ def genre_distribution(
         raise EmptyInput("no genre records")
     if k < 1:
         raise ValueError("k must be at least 1")
+    if unit not in UNITS:
+        raise ValueError(f"unknown unit {unit!r}")
+
+    # per genre, count the raw comma pieces (or whole captions) in C, then
+    # trim each distinct piece once
+    by_segment = unit == "segment"
+    per_genre: dict[str, Counter] = defaultdict(Counter)
+    for record in records:
+        caption = record.caption
+        per_genre[record.genre].update(
+            caption.split(",") if by_segment else (caption,))
+    if by_segment:
+        per_genre = {genre: _segments(pieces)
+                     for genre, pieces in per_genre.items()}
 
     frequency: Counter = Counter()
-    per_genre: dict[tuple[str, str], int] = defaultdict(int)
-    genres: set[str] = set()
-    for record in records:
-        genres.add(record.genre)
-        for phrase in caption_units(record.caption, unit):
-            frequency[phrase] += 1
-            per_genre[(phrase, record.genre)] += 1
-
+    for counter in per_genre.values():
+        frequency.update(counter)
     top = sorted(frequency, key=lambda p: (-frequency[p], p))[:k]
     selected = set(top)
     counts = {
-        key: count for key, count in per_genre.items() if key[0] in selected
+        (phrase, genre): count
+        for genre, counter in per_genre.items()
+        for phrase, count in counter.items()
+        if phrase in selected
     }
     return GenreDistribution(
-        phrases=sorted(selected), genres=sorted(genres), counts=counts
+        phrases=sorted(selected), genres=sorted(per_genre), counts=counts
     )
 
 
+def _segments(pieces: Counter) -> Counter:
+    """Raw comma-piece counts as counts of their non-empty trimmed forms."""
+    segments: Counter = Counter()
+    for piece, count in pieces.items():
+        segment = piece.strip().rstrip(".").strip()
+        if segment:
+            segments[segment] += count
+    return segments
+
+
 def length_stats(captions: list[str]) -> dict[str, object]:
-    """Token-length statistics with a bucket-width-5 histogram."""
-    lengths = [len(tokenize(caption)) for caption in captions]
+    """Token-length statistics with a bucket-width-5 histogram.
+
+    A comma is always a token of its own, so a caption's length is its
+    comma count plus the token counts of its comma pieces; each distinct
+    piece is tokenized once.
+    """
+    piece_tokens: dict[str, int] = {}
+    lengths = []
+    for caption in captions:
+        n = caption.count(",")
+        for piece in caption.split(","):
+            if piece not in piece_tokens:
+                piece_tokens[piece] = len(tokenize(piece))
+            n += piece_tokens[piece]
+        lengths.append(n)
     if not lengths:
         return {
             "count": 0, "mean": 0.0, "median": 0.0, "min": 0, "max": 0,
@@ -134,7 +161,10 @@ def frequency_baseline(
 
 
 def load_genre_csv(path: str | Path) -> dict[str, str]:
-    """Read an ``image_id,genre`` CSV (header row optional)."""
+    """Read an ``image_id,genre`` CSV (header row optional).
+
+    Raises DuplicateId naming the file and the line of a repeated id.
+    """
     genres: dict[str, str] = {}
     with reading(path, "genre table", newline="") as fh:
         reader = csv.reader(fh)
@@ -146,6 +176,9 @@ def load_genre_csv(path: str | Path) -> dict[str, str]:
                 if (image_id, genre) == ("image_id", "genre"):
                     continue
                 if image_id and genre:
+                    if image_id in genres:
+                        raise DuplicateId(
+                            image_id, f"{path}: line {reader.line_num}")
                     genres[image_id] = genre
         except csv.Error as exc:
             raise SchemaViolation(f"{path}: line {reader.line_num}: {exc}") from exc

@@ -21,6 +21,7 @@ from typing import TextIO
 
 from . import __version__
 from .analysis import (
+    UNITS,
     frequency_baseline,
     genre_distribution,
     join_genres,
@@ -128,8 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--genres", required=True, metavar="CSV")
     g.add_argument("--k", type=_positive_int, default=20,
                    help="top units to keep")
-    g.add_argument("--unit", choices=("segment", "whole_caption"),
-                   default="segment")
+    g.add_argument("--unit", choices=UNITS, default="segment")
     g.add_argument("--out", required=True, metavar="CSV")
     _common_flags(g)
 

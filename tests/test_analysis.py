@@ -1,21 +1,149 @@
 """Genre distribution, length statistics, and the frequency baseline."""
 
+import json
+import statistics
+import sys
+from collections import Counter, defaultdict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iconcap import (
     CaptionRecord,
+    DuplicateId,
     EmptyInput,
+    GenreDistribution,
     GenreRecord,
     frequency_baseline,
     genre_distribution,
     length_stats,
 )
-from iconcap.analysis import caption_units, join_genres, load_genre_csv
+from iconcap import analysis
+from iconcap.analysis import join_genres, load_genre_csv
+from iconcap.metrics import tokenize
 
 
 def records(*triples):
     return [GenreRecord(f"img{i}", genre, caption)
             for i, (genre, caption) in enumerate(triples)]
+
+
+# Oracles: the per-record and per-caption paths that genre_distribution and
+# length_stats replace, kept as the definition of their results.
+
+def caption_units(caption, unit):
+    """Caption as one whole unit or as trimmed comma segments."""
+    if unit == "whole_caption":
+        return [caption]
+    if unit == "segment":
+        units = []
+        for segment in caption.split(","):
+            text = segment.strip().rstrip(".").strip()
+            if text:
+                units.append(text)
+        return units
+    raise ValueError(f"unknown unit {unit!r}")
+
+
+def reference_distribution(records, k, unit):
+    frequency = Counter()
+    per_genre = defaultdict(int)
+    genres = set()
+    for record in records:
+        genres.add(record.genre)
+        for phrase in caption_units(record.caption, unit):
+            frequency[phrase] += 1
+            per_genre[(phrase, record.genre)] += 1
+    selected = set(sorted(frequency, key=lambda p: (-frequency[p], p))[:k])
+    counts = {key: n for key, n in per_genre.items() if key[0] in selected}
+    return GenreDistribution(
+        phrases=sorted(selected), genres=sorted(genres), counts=counts
+    )
+
+
+def reference_length_stats(captions):
+    lengths = [len(tokenize(caption)) for caption in captions]
+    if not lengths:
+        return {
+            "count": 0, "mean": 0.0, "median": 0.0, "min": 0, "max": 0,
+            "histogram": [],
+        }
+    buckets = Counter(5 * (n // 5) for n in lengths)
+    return {
+        "count": len(lengths),
+        "mean": statistics.mean(lengths),
+        "median": statistics.median(lengths),
+        "min": min(lengths),
+        "max": max(lengths),
+        "histogram": [
+            {"bucket_start": start, "count": buckets[start]}
+            for start in sorted(buckets)
+        ],
+    }
+
+
+# letters whose lowercase depends on context (final sigma) or is longer
+# (dotted I), the comma and period that segments trim, ASCII and Unicode
+# whitespace, and every tokenizer punctuation character
+_ALPHABET = "abAΣσİ .,:;!?'\"()-\t\u00a0\u2003\x85"
+_PIECES = st.text(alphabet=_ALPHABET.replace(",", ""), max_size=8)
+
+
+@st.composite
+def _captions(draw):
+    """Captions built from a small pool of comma pieces, so pieces repeat."""
+    pool = draw(st.lists(_PIECES, min_size=1, max_size=6))
+    piece = st.sampled_from(pool)
+    return draw(st.one_of(
+        st.lists(piece, min_size=1, max_size=6).map(",".join),
+        st.text(alphabet=_ALPHABET, max_size=16),
+    ))
+
+
+_GENRE_ROWS = st.lists(
+    st.tuples(st.sampled_from(["g1", "g2", "g3"]), _captions()),
+    min_size=1, max_size=30,
+)
+
+
+@settings(max_examples=300)
+@given(rows=_GENRE_ROWS, k=st.integers(1, 12),
+       unit=st.sampled_from(["segment", "whole_caption"]))
+def test_genre_distribution_matches_reference(rows, k, unit):
+    found = genre_distribution(records(*rows), k, unit)
+    expected = reference_distribution(records(*rows), k, unit)
+    assert found.phrases == expected.phrases
+    assert found.genres == expected.genres
+    assert found.counts == expected.counts
+    assert found.to_csv() == expected.to_csv()
+
+
+@settings(max_examples=300)
+@given(captions=st.lists(_captions(), max_size=30))
+def test_length_stats_matches_reference(captions):
+    # the JSON bytes pin an int mean against a float one
+    assert json.dumps(length_stats(captions)) == \
+        json.dumps(reference_length_stats(captions))
+
+
+def test_only_the_comma_lowercases_to_a_comma():
+    # length_stats counts a caption's commas on the text before lowercasing
+    assert [cp for cp in range(sys.maxunicode + 1)
+            if "," in chr(cp).lower()] == [ord(",")]
+
+
+def test_each_distinct_piece_tokenized_once(monkeypatch):
+    calls = []
+
+    def counting_tokenize(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(analysis, "tokenize", counting_tokenize)
+    captions = ["sea, ship.", "sea, boat.", "sea, ship.", ""]
+    assert length_stats(captions) == reference_length_stats(captions)
+    assert sorted(calls) == sorted({"sea", " ship.", " boat.", ""})
 
 
 class TestGenreDistribution:
@@ -44,6 +172,13 @@ class TestGenreDistribution:
     def test_empty_records(self):
         with pytest.raises(EmptyInput):
             genre_distribution([], k=1)
+
+    def test_unknown_unit(self):
+        with pytest.raises(ValueError, match="unknown unit 'paragraph'"):
+            genre_distribution(records(("g", "a.")), k=1, unit="paragraph")
+        # rejected before any caption is read
+        with pytest.raises(ValueError, match="unknown unit"):
+            genre_distribution(records(("g", None)), k=1, unit="paragraph")
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -80,6 +215,8 @@ class TestGenreDistribution:
 
 
 class TestCaptionUnits:
+    """The segment oracle's own rules."""
+
     def test_whole(self):
         assert caption_units("a, b.", "whole_caption") == ["a, b."]
 
@@ -89,10 +226,6 @@ class TestCaptionUnits:
 
     def test_empty_segments_dropped(self):
         assert caption_units(", a, .", "segment") == ["a"]
-
-    def test_unknown_unit(self):
-        with pytest.raises(ValueError):
-            caption_units("a.", "paragraph")
 
 
 class TestLengthStats:
@@ -152,6 +285,13 @@ class TestGenreIo:
         path = tmp_path / "genres.csv"
         path.write_text("a,portrait\n")
         assert load_genre_csv(path) == {"a": "portrait"}
+
+    def test_repeated_id_names_file_and_line(self, tmp_path):
+        path = tmp_path / "genres.csv"
+        path.write_text("image_id,genre\na,portrait\nb,marine\na,marine\n")
+        with pytest.raises(DuplicateId) as caught:
+            load_genre_csv(path)
+        assert str(caught.value) == f"{path}: line 4: duplicate image id 'a'"
 
     def test_join_is_inner(self):
         records = join_genres(

@@ -681,6 +681,22 @@ class TestAnalyze:
         assert "expected an integer >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_genres_repeated_id_keeps_old_output(self, tmp_path, capsys):
+        captions = tmp_path / "caps.jsonl"
+        captions.write_text('{"image_id": "a", "caption": "sea."}\n')
+        genres = tmp_path / "genres.csv"
+        genres.write_text("image_id,genre\na,marine\n")
+        out = tmp_path / "dist.csv"
+        argv = ["analyze", "genres", "--captions", str(captions),
+                "--genres", str(genres), "--out", str(out), "--quiet"]
+        assert run(argv) == 0
+        first = out.read_bytes()
+        genres.write_text("image_id,genre\na,marine\nb,portrait\na,portrait\n")
+        assert run(argv) == 1
+        assert f"{genres}: line 4: duplicate image id 'a'" in \
+            capsys.readouterr().err
+        assert out.read_bytes() == first
+
     def test_genres_empty_join_is_domain_error(self, tmp_path):
         captions = tmp_path / "caps.jsonl"
         captions.write_text('{"image_id": "a", "caption": "sea."}\n')
