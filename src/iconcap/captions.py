@@ -6,7 +6,8 @@ runs, ", etc." occurrences and duplicate comma segments, then normalizes
 spacing and the terminal period.  One cleaning pass runs; the pass is
 repeated to a fixed point only when its output still holds a trigger that
 a second pass could act on (see :func:`clean_description`).  Splits are a
-seeded deterministic permutation over sorted image ids.
+seeded deterministic permutation of the image ids, and every split
+record is returned and written in id order.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import asdict, dataclass, field
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import DuplicateId, InsufficientRecords
@@ -40,6 +43,13 @@ class SplitConfig:
     seed: int
     n_val: int
     n_test: int
+
+    def __post_init__(self):
+        if self.n_val < 0 or self.n_test < 0:
+            raise ValueError(
+                f"n_val and n_test must be non-negative, got {self.n_val} "
+                f"and {self.n_test}"
+            )
 
 
 @dataclass(frozen=True)
@@ -224,10 +234,13 @@ def build_dataset(
     return records, report
 
 
-def _shuffle_key(seed: int, image_id: str) -> str:
+_BY_ID = attrgetter("image_id")
+
+
+def _shuffle_key(seed: int, image_id: str) -> bytes:
     # an id with a lone surrogate still sorts; writing it then fails cleanly
     key = f"{seed}:{image_id}".encode("utf-8", "surrogatepass")
-    return hashlib.sha256(key).hexdigest()
+    return hashlib.sha256(key).digest()
 
 
 def assign_splits(
@@ -235,28 +248,32 @@ def assign_splits(
 ) -> list[CaptionRecord]:
     """Assign train/val/test by a seeded deterministic permutation.
 
-    Records are sorted by image id and permuted by the SHA-256 digest of
-    ``"<seed>:<image_id>"`` (ties broken by id), so the assignment depends
+    The ids are ranked by the SHA-256 digest of ``"<seed>:<image_id>"``
+    (ties broken by id), each id hashed once, so the assignment depends
     only on the id set and the seed, never on input order.  The first
-    ``n_test`` records become test, the next ``n_val`` val, the rest train.
-    Raises DuplicateId when an image id occurs twice.
+    ``n_test`` ids become test, the next ``n_val`` val, the rest train.
+    Returns new records in image id order; the input is left unchanged.
+    Raises DuplicateId naming the first repeated id in id order.
     """
     if cfg.n_val + cfg.n_test > len(records):
         raise InsufficientRecords(
             f"need at least {cfg.n_val + cfg.n_test} records for the "
             f"requested val/test carve-out, have {len(records)}"
         )
-    permuted = sorted(
-        records, key=lambda r: (_shuffle_key(cfg.seed, r.image_id), r.image_id)
-    )
-    for a, b in zip(permuted, permuted[1:]):  # equal ids sort adjacent
-        if a.image_id == b.image_id:
-            raise DuplicateId(a.image_id)
+    ordered = sorted(records, key=_BY_ID)
+    ids = list(map(_BY_ID, ordered))
+    for a, b in zip(ids, ids[1:]):  # equal ids sort adjacent
+        if a == b:
+            raise DuplicateId(a)
+    # a stable sort of ids in id order breaks digest ties by id
+    ranked = sorted(ids, key=partial(_shuffle_key, cfg.seed))
+    split_of = dict.fromkeys(ranked[:cfg.n_test], "test")
+    split_of.update(dict.fromkeys(
+        ranked[cfg.n_test:cfg.n_test + cfg.n_val], "val"))
     return [
         CaptionRecord(r.image_id, r.raw_description, r.clean_description,
-                      "test" if i < cfg.n_test else
-                      "val" if i < cfg.n_test + cfg.n_val else "train")
-        for i, r in enumerate(permuted)
+                      split_of.get(r.image_id, "train"))
+        for r in ordered
     ]
 
 
@@ -269,7 +286,7 @@ def export_jsonl(
     selected = [
         r for r in records if split_filter is None or r.split == split_filter
     ]
-    selected.sort(key=lambda r: r.image_id)
+    selected.sort(key=_BY_ID)
     write_captions(
         path, ((r.image_id, r.clean_description, None) for r in selected)
     )
@@ -278,7 +295,7 @@ def export_jsonl(
 
 def write_records_jsonl(records: list[CaptionRecord], path: str | Path) -> int:
     """Write full records (with split when set) sorted by id."""
-    ordered = sorted(records, key=lambda r: r.image_id)
+    ordered = sorted(records, key=_BY_ID)
     write_captions(
         path, ((r.image_id, r.clean_description, r.split) for r in ordered)
     )

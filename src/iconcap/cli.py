@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import TextIO
 
@@ -221,7 +222,8 @@ def _cmd_split(args: argparse.Namespace) -> dict[str, object]:
         for split in SPLITS:
             count = export_jsonl(records, out_dir / f"{split}.jsonl", split)
             _log(args, f"  {split}: {count}")
-    counts = {s: sum(1 for r in records if r.split == s) for s in SPLITS}
+    tally = Counter(r.split for r in records)
+    counts = {s: tally[s] for s in SPLITS}
     return {"splits": counts}
 
 

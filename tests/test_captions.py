@@ -1,5 +1,7 @@
 """Caption building, cleaning, splits, and export."""
 
+import copy
+import hashlib
 import json
 
 import pytest
@@ -359,6 +361,64 @@ class TestAssignSplits:
     def test_insufficient_records(self):
         with pytest.raises(InsufficientRecords):
             assign_splits(_records(["a", "b"]), SplitConfig(0, 2, 1))
+
+    @pytest.mark.parametrize("n_val, n_test", [(-1, 3), (2, -2)])
+    def test_negative_count_rejected(self, n_val, n_test):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            SplitConfig(0, n_val=n_val, n_test=n_test)
+
+    def test_duplicate_names_first_repeat_in_id_order(self):
+        with pytest.raises(DuplicateId) as exc:
+            assign_splits(_records(["c", "b", "c", "a", "b"]),
+                          SplitConfig(seed=0, n_val=1, n_test=1))
+        assert exc.value.image_id == "b"
+
+
+def reference_assign_splits(records, cfg):
+    """The direct split: sort the records on their hex digest, rebuild them.
+
+    The records come back in permuted order; only the id -> split map is
+    meant to match :func:`assign_splits`.
+    """
+    def shuffle_key(image_id):
+        key = f"{cfg.seed}:{image_id}".encode("utf-8", "surrogatepass")
+        return hashlib.sha256(key).hexdigest()
+
+    if cfg.n_val + cfg.n_test > len(records):
+        raise InsufficientRecords("carve-out exceeds the records")
+    permuted = sorted(records, key=lambda r: (shuffle_key(r.image_id),
+                                              r.image_id))
+    for a, b in zip(permuted, permuted[1:]):
+        if a.image_id == b.image_id:
+            raise DuplicateId(a.image_id)
+    return [
+        CaptionRecord(r.image_id, r.raw_description, r.clean_description,
+                      "test" if i < cfg.n_test else
+                      "val" if i < cfg.n_test + cfg.n_val else "train")
+        for i, r in enumerate(permuted)
+    ]
+
+
+@given(st.data(), st.integers(-2**63, 2**63 - 1))
+def test_assign_splits_matches_reference(data, seed):
+    ids = sorted(data.draw(st.sets(st.text(min_size=1, max_size=6),
+                                   min_size=1, max_size=40)))
+    n_test = data.draw(st.integers(0, len(ids)))
+    n_val = data.draw(st.integers(0, len(ids) - n_test))
+    order = data.draw(st.permutations(ids))
+    prior = data.draw(st.lists(st.sampled_from([None, "train", "val", "test"]),
+                               min_size=len(ids), max_size=len(ids)))
+    records = [CaptionRecord(i, f"raw {i}", f"{i}.", s)
+               for i, s in zip(order, prior)]
+    before = copy.deepcopy(records)
+    cfg = SplitConfig(seed=seed, n_val=n_val, n_test=n_test)
+    out = assign_splits(records, cfg)
+    assert records == before
+    assert [(r.image_id, r.raw_description, r.clean_description)
+            for r in out] == sorted(
+        (r.image_id, r.raw_description, r.clean_description) for r in records)
+    assert {r.image_id: r.split for r in out} == {
+        r.image_id: r.split for r in reference_assign_splits(records, cfg)}
 
 
 @given(

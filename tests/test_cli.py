@@ -506,6 +506,33 @@ class TestPipeline:
             assert (first / "splits" / f"{split}.jsonl").read_bytes() == \
                 (second / "splits" / f"{split}.jsonl").read_bytes()
 
+    def test_split_ignores_input_order(self, tmp_path):
+        ann, tsv = write_corpus(tmp_path, n_images=40, seed=7)
+        records = tmp_path / "records.jsonl"
+        assert run(["build", "--annotations", str(ann), "--correlates",
+                    str(tsv), "--out", str(records), "--quiet"]) == 0
+        lines = records.read_text(encoding="utf-8").splitlines(keepends=True)
+        reversed_records = tmp_path / "reversed.jsonl"
+        reversed_records.write_text("".join(lines[::-1]), encoding="utf-8")
+        outs = []
+        for source in (records, reversed_records):
+            out = tmp_path / source.stem
+            out.mkdir()
+            assert run(["split", "--in", str(source), "--val", "5",
+                        "--test", "7", "--out", str(out / "split.jsonl"),
+                        "--export-dir", str(out / "splits"), "--quiet",
+                        "--report", str(out / "report.json")]) == 0
+            counts = json.loads((out / "report.json").read_text())["splits"]
+            assert counts == {
+                split: len((out / "splits" / f"{split}.jsonl")
+                           .read_bytes().splitlines())
+                for split in ("train", "val", "test")}
+            outs.append(out)
+        first, second = outs
+        for name in ("split.jsonl", "splits/train.jsonl", "splits/val.jsonl",
+                     "splits/test.jsonl"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
     def test_jobs_do_not_change_outputs(self, tmp_path):
         ann, tsv = write_corpus(tmp_path, n_images=30, seed=5)
         serial = tmp_path / "serial.jsonl"
