@@ -54,13 +54,13 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _non_negative_int(text: str) -> int:
-    if not text.strip().isdigit():
+    if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)
 
 
 def _positive_int(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
+    if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
 

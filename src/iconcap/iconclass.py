@@ -7,13 +7,17 @@ optionally followed by parenthesized groups: free-text qualifiers like
     notation := digits (letters | digits)* group*
     group    := "(" [^()]* ")"
 
-with uppercase letters only, nested parentheses rejected, and whitespace
-outside groups ignored.  A group whose content starts with ``+`` is a key
-(the ``+`` is stripped); any other group is a qualifier.
+where a digit is any ``str.isdigit`` character (``7``, ``٣``, ``７``, ``²``)
+and a letter is ASCII ``A``-``Z`` only.  Nested parentheses are rejected.
+Any ``str.isspace`` character outside groups is ignored, so runs of one kind
+separated only by whitespace merge (``7 3A`` is ``73A``).  A group whose
+content starts with ``+`` is a key (the ``+`` is stripped); any other group
+is a qualifier.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,8 +42,14 @@ class IconclassNotation:
         return "".join(parts)
 
 
-def _byte_offset(text: str, index: int) -> int:
-    return len(text[:index].encode("utf-8", "surrogatepass"))
+def _malformed(text: str, index: int, message: str) -> MalformedNotation:
+    """The error for ``text`` at character ``index``, as a UTF-8 offset."""
+    offset = len(text[:index].encode("utf-8", "surrogatepass"))
+    return MalformedNotation(message, offset)
+
+
+# group, closed or cut short | digits | letters | other; finditer skips spaces
+_TOKEN = re.compile(r"\(([^()]*)(\))?|([0-9]+)|([A-Z]+)|(\S)")
 
 
 def parse_notation(raw: str) -> IconclassNotation:
@@ -50,86 +60,43 @@ def parse_notation(raw: str) -> IconclassNotation:
     The error carries the byte offset of the first offending character in
     the original string.
     """
-    text = raw
-    n = len(text)
-    i = 0
-    # leading whitespace
-    while i < n and text[i].isspace():
-        i += 1
-    if i == n:
-        raise MalformedNotation("empty notation", _byte_offset(text, 0))
-    if not text[i].isdigit():
-        raise MalformedNotation(
-            f"notation must start with a digit, got {text[i]!r}",
-            _byte_offset(text, i),
-        )
-
     segments: list[str] = []
-    segment_is_digit: list[bool] = []
     qualifiers: list[str] = []
     keys: list[str] = []
-    seen_group = False
-
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "(":
-            open_at = i
-            i += 1
-            start = i
-            while i < n and text[i] not in "()":
-                i += 1
-            if i == n:
-                raise MalformedNotation(
-                    "unterminated group", _byte_offset(text, open_at)
-                )
-            if text[i] == "(":
-                raise MalformedNotation(
-                    "nested parenthesis", _byte_offset(text, i)
-                )
-            content = text[start:i]
-            i += 1  # consume ")"
-            if content.startswith("+"):
-                if content.startswith("++"):
-                    raise MalformedNotation(
-                        "key content begins with '+'",
-                        _byte_offset(text, start + 1),
-                    )
-                keys.append(content[1:])
-            else:
-                qualifiers.append(content)
-            seen_group = True
-        elif ch.isdigit() or "A" <= ch <= "Z":
-            if seen_group:
-                raise MalformedNotation(
-                    "base character after a group", _byte_offset(text, i)
-                )
-            kind = ch.isdigit()
-            start = i
-            while i < n and (
-                text[i].isdigit() if kind else "A" <= text[i] <= "Z"
-            ):
-                i += 1
-            run = text[start:i]
+    for m in _TOKEN.finditer(raw):
+        content, closed, digits, letters, other = m.groups()
+        at = m.start()
+        if other is not None and other.isdigit():
+            digits, other = other, None
+        if not segments and digits is None:
+            raise _malformed(
+                raw, at, f"notation must start with a digit, got {raw[at]!r}"
+            )
+        if other is not None:
+            raise _malformed(raw, at, f"unexpected character {other!r}")
+        if content is None:
+            if qualifiers or keys:
+                raise _malformed(raw, at, "base character after a group")
+            run = digits or letters
             # whitespace outside groups is stripped, so a run separated
             # from its predecessor only by spaces continues that segment
-            if segment_is_digit and segment_is_digit[-1] == kind:
+            if segments and segments[-1][0].isdigit() == run[0].isdigit():
                 segments[-1] += run
             else:
                 segments.append(run)
-                segment_is_digit.append(kind)
+        elif closed is None:
+            if m.end() == len(raw):
+                raise _malformed(raw, at, "unterminated group")
+            raise _malformed(raw, m.end(), "nested parenthesis")
+        elif content.startswith("++"):
+            raise _malformed(raw, at + 2, "key content begins with '+'")
+        elif content.startswith("+"):
+            keys.append(content[1:])
         else:
-            raise MalformedNotation(
-                f"unexpected character {ch!r}", _byte_offset(text, i)
-            )
-
-    return IconclassNotation(
-        base=tuple(segments),
-        qualifiers=tuple(qualifiers),
-        keys=tuple(keys),
-    )
+            qualifiers.append(content)
+    if not segments:
+        raise MalformedNotation("empty notation", 0)
+    return IconclassNotation(tuple(segments), tuple(qualifiers), tuple(keys))
 
 
 def parent(n: IconclassNotation) -> IconclassNotation | None:

@@ -107,13 +107,16 @@ class TestExitCodes:
         assert f"{dup}: line 3: duplicate image id 'a'" in \
             capsys.readouterr().err
 
-    @pytest.mark.parametrize("val,test", [("-1", "0"), ("0", "-1")])
-    def test_split_negative_count_is_usage_error(self, tmp_path, val, test):
+    @pytest.mark.parametrize("val,test", [
+        ("-1", "0"), ("0", "-1"), ("\u00b2", "0"), ("0", "\u00b9")])
+    def test_split_negative_count_is_usage_error(self, tmp_path, capsys,
+                                                 val, test):
         records = tmp_path / "records.jsonl"
         records.write_text('{"image_id": "a", "caption": "a."}\n')
         out = tmp_path / "split.jsonl"
         assert run(["split", "--in", str(records), "--val", val,
                     "--test", test, "--out", str(out)]) == 2
+        assert "expected an integer >= 0" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -695,7 +698,7 @@ class TestAnalyze:
             capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("k", ["0", "-1"])
+    @pytest.mark.parametrize("k", ["0", "-1", "\u00b2"])
     def test_genres_k_below_one_is_usage_error(self, tmp_path, capsys, k):
         captions = tmp_path / "caps.jsonl"
         captions.write_text('{"image_id": "a", "caption": "sea."}\n')

@@ -3,12 +3,13 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iconcap import (
     AnnotationRecord,
     CorrelateStore,
+    IconclassNotation,
     IoFailure,
     MalformedNotation,
     SchemaViolation,
@@ -239,3 +240,132 @@ def test_parent_chain_terminates_and_shortens(s):
         steps += 1
         assert steps <= len(s)
         node = parent(node)
+
+
+def _byte_offset(text, index):
+    return len(text[:index].encode("utf-8", "surrogatepass"))
+
+
+def reference_parse_notation(raw):
+    """The character-indexed scanner parse_notation replaced.
+
+    The oracle for parse_notation's token regex: every input must give the
+    same notation, or the same error message at the same byte offset.
+    """
+    text = raw
+    n = len(text)
+    i = 0
+    # leading whitespace
+    while i < n and text[i].isspace():
+        i += 1
+    if i == n:
+        raise MalformedNotation("empty notation", _byte_offset(text, 0))
+    if not text[i].isdigit():
+        raise MalformedNotation(
+            f"notation must start with a digit, got {text[i]!r}",
+            _byte_offset(text, i),
+        )
+
+    segments = []
+    segment_is_digit = []
+    qualifiers = []
+    keys = []
+    seen_group = False
+
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "(":
+            open_at = i
+            i += 1
+            start = i
+            while i < n and text[i] not in "()":
+                i += 1
+            if i == n:
+                raise MalformedNotation(
+                    "unterminated group", _byte_offset(text, open_at)
+                )
+            if text[i] == "(":
+                raise MalformedNotation(
+                    "nested parenthesis", _byte_offset(text, i)
+                )
+            content = text[start:i]
+            i += 1  # consume ")"
+            if content.startswith("+"):
+                if content.startswith("++"):
+                    raise MalformedNotation(
+                        "key content begins with '+'",
+                        _byte_offset(text, start + 1),
+                    )
+                keys.append(content[1:])
+            else:
+                qualifiers.append(content)
+            seen_group = True
+        elif ch.isdigit() or "A" <= ch <= "Z":
+            if seen_group:
+                raise MalformedNotation(
+                    "base character after a group", _byte_offset(text, i)
+                )
+            kind = ch.isdigit()
+            start = i
+            while i < n and (
+                text[i].isdigit() if kind else "A" <= text[i] <= "Z"
+            ):
+                i += 1
+            run = text[start:i]
+            # whitespace outside groups is stripped, so a run separated
+            # from its predecessor only by spaces continues that segment
+            if segment_is_digit and segment_is_digit[-1] == kind:
+                segments[-1] += run
+            else:
+                segments.append(run)
+                segment_is_digit.append(kind)
+        else:
+            raise MalformedNotation(
+                f"unexpected character {ch!r}", _byte_offset(text, i)
+            )
+
+    return IconclassNotation(tuple(segments), tuple(qualifiers), tuple(keys))
+
+
+def _outcome(parse, s):
+    """What ``parse`` makes of ``s``: a notation, or an error and offset."""
+    try:
+        return parse(s)
+    except MalformedNotation as exc:
+        return str(exc), exc.offset
+
+
+# the grammar's characters, plus whole openings so that groups, keys and
+# "++" keys turn up often
+grammarish_text = st.lists(
+    st.sampled_from(list("0123456789ABZ()+ \t\u0663\u00b2")
+                    + ["(+", "(++", "(X)", "(+1)"]),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=1000)
+@given(st.one_of(arbitrary_text, grammarish_text))
+@example("7((")
+@example("7(a(")
+@example("7(++1)")
+@example(" 7 3A (+1) 4")
+def test_parse_matches_reference_scanner(s):
+    assert _outcome(parse_notation, s) == \
+        _outcome(reference_parse_notation, s)
+
+
+def test_parse_matches_reference_on_every_space_and_digit():
+    # the two classes where str methods, not ASCII ranges, decide: 817
+    # code points, each alone and in five contexts
+    chars = [chr(c) for c in range(0x110000)
+             if chr(c).isspace() or chr(c).isdigit()]
+    contexts = ("{}", "1{}", "1{}2", "1(x){}", "{}1", "A{}")
+    for ch in chars:
+        for context in contexts:
+            s = context.format(ch)
+            assert _outcome(parse_notation, s) == \
+                _outcome(reference_parse_notation, s), s
