@@ -53,16 +53,27 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="accepted and ignored: every stage runs serially")
 
 
+def _count(text: str, minimum: int) -> int:
+    """``text`` as an integer >= ``minimum``, else a usage error (exit 2)."""
+    try:
+        # int() refuses more digits than sys.get_int_max_str_digits()
+        value = int(text) if text.strip().isdecimal() else None
+    except ValueError:
+        value = None
+    if value is None or value < minimum:
+        shown = repr(text) if len(text) <= 40 else \
+            f"{text[:20]!r}... ({len(text)} characters)"
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= {minimum}, got {shown}")
+    return value
+
+
 def _non_negative_int(text: str) -> int:
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
+    return _count(text, 0)
 
 
 def _positive_int(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+    return _count(text, 1)
 
 
 def _stoplist_token(text: str) -> str:

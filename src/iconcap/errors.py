@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from os import PathLike
+
 
 class IconcapError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -35,10 +37,18 @@ class EmptyCorpus(IconcapError):
 
 
 class MissingReference(IconcapError):
-    """A candidate image id has no reference caption."""
+    """A candidate image id has no reference caption.
 
-    def __init__(self, image_id: str):
-        super().__init__(f"no reference caption for image id {image_id!r}")
+    ``candidates`` and ``references`` name the two files, when known.
+    """
+
+    def __init__(self, image_id: str,
+                 candidates: str | PathLike[str] | None = None,
+                 references: str | PathLike[str] | None = None):
+        message = f"no reference caption for image id {image_id!r}"
+        if candidates is not None and references is not None:
+            message = f"{candidates}: {message} in {references}"
+        super().__init__(message)
         self.image_id = image_id
 
 

@@ -15,16 +15,19 @@ its tolerance.
 Scores are kept in natural scale: BLEU, METEOR and ROUGE-L in [0, 1],
 CIDEr in [0, 10].  Reports offer a x100 presentation mode.
 
-Each caption is cooked once per pair: :func:`_ngram_counts` counts orders
-1..max_n in one call, and BLEU's clipped counts, the corpus BLEU sums and
-CIDEr's TF-IDF vectors and norms all read those counts.  CIDEr's document
-frequencies are a separate first pass over the references, since IDF must
-be complete before any pair is scored.  METEOR stems each token once
-through a token -> stem memo; :func:`evaluate_pairs` shares one memo over
-the whole call.  Every memo lives for one call only, and no n-gram count
-outlives its pair, so no corpus-wide count table is ever held.  The public
-scorers are thin wrappers over the same per-pair kernels, and every float
-sum runs in a fixed order, so reports are byte-identical run to run.
+Each caption is cooked once: :func:`_ngram_counts` counts orders 1..max_n
+in one call, and BLEU's clipped counts, the corpus BLEU sums and CIDEr's
+cosines all read those counts.  :func:`evaluate_pairs` visits the pairs
+grouped by candidate, so a candidate's counts and its CIDEr TF-IDF vectors
+and norms are built once and live for its group; a reference's counts live
+for its pair.  CIDEr's document frequencies are a separate first pass that
+reads each image's set of reference n-grams, since IDF must be complete
+before any pair is scored.  METEOR stems each token once through a token
+-> stem memo; :func:`evaluate_pairs` shares one memo over the whole call.
+Every memo lives for one call only, and no corpus-wide count table is ever
+held.  The public scorers are thin wrappers over the same kernels, and
+every float sum runs in a fixed order (the corpus sums in image-id order),
+so reports are byte-identical run to run.
 """
 
 from __future__ import annotations
@@ -77,6 +80,11 @@ class EvalPair:
     candidate: tuple[str, ...]
     references: tuple[tuple[str, ...], ...]
 
+    def __post_init__(self) -> None:
+        if not self.references:
+            raise ValueError(
+                f"image id {self.image_id!r} has no reference captions")
+
     @classmethod
     def from_text(
         cls, image_id: str, candidate: str, references: list[str],
@@ -95,16 +103,18 @@ class EvalPair:
 # BLEU
 # ---------------------------------------------------------------------------
 
+def _ngrams(tokens: tuple[str, ...], n: int) -> Iterable[tuple[str, ...]]:
+    """The order-n grams of ``tokens``, in order."""
+    return zip(*[tokens[i:] for i in range(n)])
+
+
 def _ngram_counts(tokens: tuple[str, ...], max_n: int) -> list[Counter]:
     """N-gram counts of every order 1..max_n; entry ``n - 1`` holds order n.
 
     Each Counter keeps the n-grams in order of first occurrence, the order
     CIDEr's float sums run in.
     """
-    return [
-        Counter(zip(*[tokens[i:] for i in range(n)]))
-        for n in range(1, max_n + 1)
-    ]
+    return [Counter(_ngrams(tokens, n)) for n in range(1, max_n + 1)]
 
 
 def _pair_counts(
@@ -147,9 +157,12 @@ def _bleu_stats(
 def _bleu_from_stats(
     clipped: list[int], totals: list[int], cand_len: int, ref_len: int,
     max_n: int, smoothing_epsilon: float,
-) -> float:
+) -> list[float]:
+    """BLEU-1..max_n from one cumulative log sum; entry ``n - 1`` is BLEU-n."""
     if cand_len == 0:
-        return 0.0
+        return [0.0] * max_n
+    bp = min(1.0, math.exp(1.0 - ref_len / cand_len))
+    scores = []
     log_sum = 0.0
     for n in range(max_n):
         if clipped[n] > 0 and totals[n] > 0:
@@ -157,8 +170,8 @@ def _bleu_from_stats(
         else:
             p = smoothing_epsilon
         log_sum += math.log(p)
-    bp = min(1.0, math.exp(1.0 - ref_len / cand_len))
-    return bp * math.exp(log_sum / max_n)
+        scores.append(bp * math.exp(log_sum / (n + 1)))
+    return scores
 
 
 def bleu(
@@ -172,7 +185,7 @@ def bleu(
     replaced by ``smoothing_epsilon``.  An empty candidate scores 0.
     """
     stats = _bleu_stats(pair, *_pair_counts(pair, max_n))
-    return _bleu_from_stats(*stats, max_n, smoothing_epsilon)
+    return _bleu_from_stats(*stats, max_n, smoothing_epsilon)[-1]
 
 
 def _sum_bleu_stats(
@@ -194,7 +207,7 @@ def corpus_bleu(
         raise EmptyCorpus("corpus BLEU over zero pairs")
     stats = _sum_bleu_stats(_bleu_stats(pair, *_pair_counts(pair, max_n))
                             for pair in pairs)
-    return _bleu_from_stats(*stats, max_n, smoothing_epsilon)
+    return _bleu_from_stats(*stats, max_n, smoothing_epsilon)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +367,15 @@ def _cider_idf(
     """IDF of every reference n-gram, and the IDF of an unseen n-gram.
 
     A first pass over the references: IDF must be complete before any
-    pair is scored.
+    pair is scored.  Document frequency needs only each image's set of
+    reference n-grams, not their counts.
     """
     doc_freq: Counter = Counter()
     for pair in pairs:
         grams: set[tuple[str, ...]] = set()
         for ref in pair.references:
-            for counts in _ngram_counts(ref, max_n):
-                grams.update(counts)
+            for n in range(1, max_n + 1):
+                grams.update(_ngrams(ref, n))
         doc_freq.update(grams)
     n_images = len(pairs)
     idf = {
@@ -371,34 +385,45 @@ def _cider_idf(
     return idf, math.log(n_images)
 
 
-def _norm(vec: dict[tuple[str, ...], float]) -> float:
-    return math.sqrt(sum(v * v for v in vec.values()))
+def _cider_vectors(
+    cand_counts: list[Counter], idf: dict[tuple[str, ...], float],
+    idf_default: float,
+) -> list[tuple[dict[tuple[str, ...], float], float]]:
+    """The candidate's TF-IDF vector and its norm, for each order."""
+    vectors = []
+    for cand in cand_counts:
+        # raw counts as TF, weighted by corpus IDF
+        vec = {gram: count * idf.get(gram, idf_default)
+               for gram, count in cand.items()}
+        vectors.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
+    return vectors
 
 
 def _cider_score(
-    cand_counts: list[Counter], ref_counts: list[list[Counter]],
-    idf: dict[tuple[str, ...], float], idf_default: float,
+    cand_vectors: list[tuple[dict[tuple[str, ...], float], float]],
+    ref_counts: list[list[Counter]], idf: dict[tuple[str, ...], float],
 ) -> float:
-    """10 times the mean over orders of the mean candidate-reference cosine."""
+    """10 times the mean over orders of the mean candidate-reference cosine.
+
+    A reference needs no vector: its weights ``count * idf[gram]`` are
+    formed from its counts for the norm and again for the dot product.
+    """
     total = 0.0
-    for n, cand in enumerate(cand_counts):
-        # raw counts as TF, weighted by corpus IDF
-        cand_vec = {gram: count * idf.get(gram, idf_default)
-                    for gram, count in cand.items()}
-        cand_norm = _norm(cand_vec)
+    for n, (cand_vec, cand_norm) in enumerate(cand_vectors):
         sim = 0.0
-        for counts in ref_counts:
-            ref_vec = {gram: count * idf[gram]
-                       for gram, count in counts[n].items()}
-            ref_norm = _norm(ref_vec)
-            if cand_norm == 0.0 or ref_norm == 0.0:
-                continue
-            dot = sum(v * ref_vec[g]
-                      for g, v in cand_vec.items() if g in ref_vec)
-            # rounding can lift an exact match a few ulps above 1
-            sim += min(1.0, dot / (cand_norm * ref_norm))
+        if cand_norm != 0.0:
+            for counts in ref_counts:
+                ref = counts[n]
+                weights = [count * idf[gram] for gram, count in ref.items()]
+                ref_norm = math.sqrt(sum(w * w for w in weights))
+                if ref_norm == 0.0:
+                    continue
+                dot = sum(v * (ref[g] * idf[g])
+                          for g, v in cand_vec.items() if g in ref)
+                # rounding can lift an exact match a few ulps above 1
+                sim += min(1.0, dot / (cand_norm * ref_norm))
         total += sim / len(ref_counts)
-    return 10.0 * total / len(cand_counts)
+    return 10.0 * total / len(cand_vectors)
 
 
 def cider(pairs: list[EvalPair], max_n: int = 4) -> tuple[list[float], float]:
@@ -413,10 +438,11 @@ def cider(pairs: list[EvalPair], max_n: int = 4) -> tuple[list[float], float]:
     if not pairs:
         raise EmptyCorpus("CIDEr over zero pairs")
     idf, idf_default = _cider_idf(pairs, max_n)
-    scores = [
-        _cider_score(*_pair_counts(pair, max_n), idf, idf_default)
-        for pair in pairs
-    ]
+    scores = []
+    for pair in pairs:
+        cand_counts, ref_counts = _pair_counts(pair, max_n)
+        scores.append(_cider_score(
+            _cider_vectors(cand_counts, idf, idf_default), ref_counts, idf))
     return scores, sum(scores) / len(scores)
 
 
@@ -492,10 +518,14 @@ def evaluate_pairs(
 ) -> MetricReport:
     """Score already-tokenized pairs; :func:`evaluate` is the file front end.
 
-    One loop over the pairs counts each caption's n-grams once and feeds
-    per-pair BLEU, the corpus BLEU sums and CIDEr from those counts; CIDEr's
-    IDF comes from a first pass over the references.  METEOR's stems come
-    from one token -> stem memo shared by the whole call.
+    The pairs are visited grouped by candidate: each distinct candidate's
+    n-grams are counted, and its CIDEr vectors and norms built, once per
+    group, and each reference's n-grams once per pair.  Those counts feed
+    per-pair BLEU, the corpus BLEU sums and CIDEr; CIDEr's IDF comes from a
+    first pass over the references.  Rows and BLEU stats are stored at
+    their image-id position, so every corpus sum runs in image-id order.
+    METEOR's stems come from one token -> stem memo shared by the whole
+    call.
     """
     config = config or EvalConfig()
     if not pairs:
@@ -505,28 +535,32 @@ def evaluate_pairs(
     idf, idf_default = _cider_idf(pairs, max_n)
     stem_memo: dict[str, str] = {}
 
-    pair_stats = []
-    rows: list[dict[str, object]] = []
-    for pair in pairs:
-        cand_counts, ref_counts = _pair_counts(pair, max_n)
-        stats = _bleu_stats(pair, cand_counts, ref_counts)
-        pair_stats.append(stats)
-        row: dict[str, object] = {"image_id": pair.image_id}
-        for n in range(1, max_n + 1):
-            row[f"bleu{n}"] = _bleu_from_stats(*stats, n, epsilon)
-        row["meteor"] = _meteor(
-            pair, stem_memo, config.meteor_alpha, config.meteor_gamma,
-            config.meteor_theta,
-        )
-        row["rouge_l"] = rouge_l(pair, config.rouge_beta)
-        row["cider"] = _cider_score(cand_counts, ref_counts, idf, idf_default)
-        rows.append(row)
+    groups: dict[tuple[str, ...], list[int]] = {}
+    for i, pair in enumerate(pairs):
+        groups.setdefault(pair.candidate, []).append(i)
+    pair_stats: list = [None] * len(pairs)
+    rows: list = [None] * len(pairs)
+    for candidate, group in groups.items():
+        cand_counts = _ngram_counts(candidate, max_n)
+        cand_vectors = _cider_vectors(cand_counts, idf, idf_default)
+        for i in group:
+            pair = pairs[i]
+            ref_counts = [_ngram_counts(ref, max_n) for ref in pair.references]
+            pair_stats[i] = stats = _bleu_stats(pair, cand_counts, ref_counts)
+            row: dict[str, object] = {"image_id": pair.image_id}
+            bleus = _bleu_from_stats(*stats, max_n, epsilon)
+            for n, score in enumerate(bleus, 1):
+                row[f"bleu{n}"] = score
+            row["meteor"] = _meteor(
+                pair, stem_memo, config.meteor_alpha, config.meteor_gamma,
+                config.meteor_theta,
+            )
+            row["rouge_l"] = rouge_l(pair, config.rouge_beta)
+            row["cider"] = _cider_score(cand_vectors, ref_counts, idf)
+            rows[i] = row
 
-    corpus_stats = _sum_bleu_stats(pair_stats)
-    corpus = {
-        f"bleu{n}": _bleu_from_stats(*corpus_stats, n, epsilon)
-        for n in range(1, max_n + 1)
-    }
+    bleus = _bleu_from_stats(*_sum_bleu_stats(pair_stats), max_n, epsilon)
+    corpus = {f"bleu{n}": score for n, score in enumerate(bleus, 1)}
     corpus["meteor"] = sum(r["meteor"] for r in rows) / len(rows)
     corpus["rouge_l"] = sum(r["rouge_l"] for r in rows) / len(rows)
     corpus["cider"] = sum(r["cider"] for r in rows) / len(rows)
@@ -541,7 +575,8 @@ def evaluate(
     """Score a candidate JSONL file against a reference JSONL file.
 
     Every candidate id must have a reference; reference ids without a
-    candidate are ignored.  Raises MissingReference / DuplicateId.
+    candidate are ignored.  Raises MissingReference (naming both files) /
+    DuplicateId.
     """
     config = config or EvalConfig()
     candidates = load_caption_map(candidates_path)
@@ -549,7 +584,7 @@ def evaluate(
     pairs = []
     for image_id in sorted(candidates):
         if image_id not in references:
-            raise MissingReference(image_id)
+            raise MissingReference(image_id, candidates_path, references_path)
         pairs.append(
             EvalPair.from_text(
                 image_id,

@@ -119,6 +119,40 @@ class TestExitCodes:
         assert "expected an integer >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,minimum", [("--val", 0), ("--k", 1)])
+    def test_count_past_int_digit_limit_is_usage_error(self, tmp_path,
+                                                       capsys, flag, minimum):
+        # 5,000 digits is past int()'s default limit of 4,300
+        captions = tmp_path / "caps.jsonl"
+        captions.write_text('{"image_id": "a", "caption": "sea."}\n')
+        genres = tmp_path / "genres.csv"
+        genres.write_text("image_id,genre\na,marine\n")
+        out = tmp_path / "out"
+        argv = {
+            "--val": ["split", "--in", str(captions), "--test", "0"],
+            "--k": ["analyze", "genres", "--captions", str(captions),
+                    "--genres", str(genres)],
+        }[flag]
+        assert run([*argv, flag, "1" * 5000, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: expected an integer >= {minimum}, got " \
+            f"'{'1' * 20}'... (5000 characters)" in err
+        assert "Traceback" not in err and "_int" not in err
+        assert max(len(line) for line in err.splitlines()) < 200
+        assert not out.exists()
+
+    def test_eval_missing_reference_names_both_files(self, tmp_path, capsys):
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text('{"image_id": "a", "caption": "x"}\n'
+                         '{"image_id": "b", "caption": "y"}\n')
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text('{"image_id": "a", "caption": "x"}\n')
+        assert run(["eval", "--candidates", str(cands),
+                    "--references", str(refs), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"iconcap eval: error: {cands}: no reference caption for "
+            f"image id 'b' in {refs}\n")
+
 
 def _argv_reading(command, bad, tmp_path):
     """Arguments that make ``command`` read the caption file ``bad``."""

@@ -438,8 +438,10 @@ class TestEvaluate:
         refs = tmp_path / "r.jsonl"
         write_jsonl(cands, [{"image_id": "a", "caption": "x"}])
         write_jsonl(refs, [{"image_id": "b", "caption": "x"}])
-        with pytest.raises(MissingReference):
+        with pytest.raises(MissingReference) as caught:
             evaluate(cands, refs)
+        assert str(caught.value) == \
+            f"{cands}: no reference caption for image id 'a' in {refs}"
 
     def test_duplicate_id(self, tmp_path):
         cands = tmp_path / "c.jsonl"
@@ -572,6 +574,30 @@ class TestEvaluate:
         assert [r["image_id"] for r in report.examples] == ["aaa", "zzz"]
 
 
+def assert_rows_equal_public_scorers(pairs):
+    """evaluate_pairs' rows and corpus, bit for bit, from the public scorers."""
+    report = evaluate_pairs(pairs)
+    ordered = sorted(pairs, key=lambda p: p.image_id)
+    cider_scores, cider_corpus = cider(ordered)
+    assert len(report.examples) == len(ordered)
+    for p, row, cider_score in zip(ordered, report.examples, cider_scores):
+        expected = {"image_id": p.image_id}
+        for n in range(1, 5):
+            expected[f"bleu{n}"] = bleu(p, max_n=n)
+        expected["meteor"] = meteor(p)
+        expected["rouge_l"] = rouge_l(p)
+        expected["cider"] = cider_score
+        assert list(row.items()) == list(expected.items())
+    rows = report.examples
+    assert report.corpus == {
+        **{f"bleu{n}": reference_corpus_bleu(pairs, n)
+           for n in range(1, 5)},
+        "meteor": sum(r["meteor"] for r in rows) / len(rows),
+        "rouge_l": sum(r["rouge_l"] for r in rows) / len(rows),
+        "cider": cider_corpus,
+    }
+
+
 class TestSinglePass:
     """evaluate_pairs counts each caption once and equals the public scorers."""
 
@@ -579,25 +605,24 @@ class TestSinglePass:
         pairs = random_pairs(31, 80)
         assert any(not p.candidate for p in pairs)
         assert any(len(p.references) > 1 for p in pairs)
-        report = evaluate_pairs(pairs)
-        ordered = sorted(pairs, key=lambda p: p.image_id)
-        cider_scores, cider_corpus = cider(ordered)
-        for p, row, cider_score in zip(ordered, report.examples, cider_scores):
-            expected = {"image_id": p.image_id}
-            for n in range(1, 5):
-                expected[f"bleu{n}"] = bleu(p, max_n=n)
-            expected["meteor"] = meteor(p)
-            expected["rouge_l"] = rouge_l(p)
-            expected["cider"] = cider_score
-            assert list(row.items()) == list(expected.items())
-        rows = report.examples
-        assert report.corpus == {
-            **{f"bleu{n}": reference_corpus_bleu(pairs, n)
-               for n in range(1, 5)},
-            "meteor": sum(r["meteor"] for r in rows) / len(rows),
-            "rouge_l": sum(r["rouge_l"] for r in rows) / len(rows),
-            "cider": cider_corpus,
-        }
+        assert_rows_equal_public_scorers(pairs)
+
+    def test_shared_candidates_score_as_the_public_scorers(self):
+        # three candidates (one empty) take turns in id order, so no two
+        # adjacent ids share one; the input order is shuffled as well
+        rng = random.Random(43)
+        vocab = ["sea", "ship", "boat", "king", "palace", "saint", "tree"]
+        candidates = [(), ("sea", "ship", "sea", "boat"),
+                      ("king", "palace", "saint", "tree", "king", "sea")]
+        pairs = [
+            pair(candidates[k % 3],
+                 [rng.choices(vocab, k=rng.randint(1, 9))
+                  for _ in range(rng.randint(1, 3))],
+                 f"img{k:03d}")
+            for k in range(66)
+        ]
+        rng.shuffle(pairs)
+        assert_rows_equal_public_scorers(pairs)
 
     def test_light_stem_once_per_distinct_token(self, monkeypatch):
         pairs = random_pairs(37, 80)
@@ -615,23 +640,36 @@ class TestSinglePass:
                               for token in tokens}
         assert max(calls.values()) == 1
 
-    def test_ngrams_counted_once_per_caption_per_pair(self, monkeypatch):
+    def test_ngrams_counted_once_per_candidate_and_reference(self,
+                                                             monkeypatch):
         pairs = random_pairs(41, 80)
-        calls = []
+        # repeat some candidates under new ids, so grouping shows
+        pairs += [dataclasses.replace(p, image_id=f"{p.image_id}x")
+                  for p in pairs[:30]]
+        calls = Counter()
         real = metrics._ngram_counts
 
         def counting(tokens, max_n):
-            calls.append(tokens)
+            calls[tokens] += 1
             return real(tokens, max_n)
 
         monkeypatch.setattr(metrics, "_ngram_counts", counting)
         evaluate_pairs(pairs)
-        references = [r for p in sorted(pairs, key=lambda p: p.image_id)
-                      for r in p.references]
-        # the IDF pass reads every reference, then the scoring loop reads
-        # every caption of each pair once
-        assert calls[:len(references)] == references
-        assert len(calls) == 2 * len(references) + len(pairs)
+        distinct = {p.candidate for p in pairs}
+        assert len(distinct) < len(pairs)
+        # the IDF pass reads gram sets and counts nothing; the scoring loop
+        # counts each distinct candidate once and each reference per pair
+        assert calls == Counter(distinct) + Counter(
+            r for p in pairs for r in p.references)
+
+    def test_pair_without_references_is_rejected(self):
+        message = "image id 'a' has no reference captions"
+        with pytest.raises(ValueError, match=message):
+            evaluate_pairs([EvalPair("a", ("x",), ())])
+        with pytest.raises(ValueError, match=message):
+            bleu(EvalPair("a", ("x",), ()))
+        with pytest.raises(ValueError, match=message):
+            EvalPair.from_text("a", "x", [])
 
     def test_frozen_report_digest(self, tmp_path):
         # recorded before the single-pass scorer replaced the per-metric
