@@ -5,7 +5,12 @@ order.  Cleaning removes parenthesized groups, configured uppercase marker
 runs, ", etc." occurrences and duplicate comma segments, then normalizes
 spacing and the terminal period.  One cleaning pass runs; the pass is
 repeated to a fixed point only when its output still holds a trigger that
-a second pass could act on (see :func:`clean_description`).  Splits are a
+a second pass could act on (see :func:`clean_description`).  The build
+runs the pass's first four steps once per distinct correlate and joins
+the resulting pieces, which gives what those steps give on the joined raw
+description whenever every piece is closed (see :func:`_strip_piece`); a
+raw description with an open piece is cleaned whole.  Either way a
+caption equals ``clean_description`` of its raw description.  Splits are a
 seeded deterministic permutation of the image ids, and every split
 record is returned and written in id order.
 """
@@ -21,6 +26,7 @@ from pathlib import Path
 
 from .errors import DuplicateId, InsufficientRecords
 from .iconclass import (
+    _CANONICAL,
     AnnotationRecord,
     CorrelateStore,
     MalformedNotation,
@@ -96,7 +102,15 @@ class BuildReport:
 def _resolve_code(
     code: str, store: CorrelateStore, parent_fallback: bool
 ) -> str | None:
-    """The code's correlate; None when it is malformed or misses the store."""
+    """The code's correlate; None when it is malformed or misses the store.
+
+    A code already in canonical form is its own store key, so it is parsed
+    only when it misses and the parent chain is to be walked.
+    """
+    if _CANONICAL.fullmatch(code):
+        text = store.lookup(code)
+        if text is not None or not parent_fallback:
+            return text
     try:
         notation = parse_notation(code)
     except MalformedNotation:
@@ -109,13 +123,25 @@ _SPACE_RUN_RE = re.compile(r"  +")
 _PERIOD_SEGMENT_RE = re.compile(r"\.\s*,")
 
 
-def _clean_pass(raw: str, cfg: CleaningConfig) -> str:
+def _strip_piece(raw: str, cfg: CleaningConfig) -> tuple[str, bool]:
+    """Steps 1-4 of the pass, and whether ``raw`` is a closed piece.
+
+    These steps commute with ", "-joining closed pieces: stripping the
+    join of closed pieces gives the join of their strips.  A piece is
+    closed when its groups leave no parenthesis behind (so none pairs
+    with one across a separator), it starts with neither whitespace nor
+    "-" (so no stoplist run takes in the separator), it does not start
+    with "etc." after the stoplist step (so the separator does not open a
+    ", etc."), and it does not start with whitespace after the ", etc."
+    step (so the separator's space starts no space run).
+    """
     s = raw
     # 1. parenthesized groups go first, innermost outward; stray parens too
     prev = None
     while prev != s:
         prev = s
         s = _GROUP_RE.sub("", s)
+    closed = not ("(" in s or ")" in s or s[:1].isspace() or s[:1] == "-")
     s = s.replace("(", "").replace(")", "")
     # 2. uppercase marker runs; the surrounding " - " delimiters collapse
     # into the ", " list separator (see the golden pairs)
@@ -123,9 +149,15 @@ def _clean_pass(raw: str, cfg: CleaningConfig) -> str:
         s = stoplist_re.sub(", ", s)
     # 3. literal ", etc." occurrences
     if cfg.drop_etc:
+        closed = closed and not s.startswith("etc.")
         s = s.replace(", etc.", "")
+        closed = closed and not s[:1].isspace()
     # 4. collapse space runs
-    s = _SPACE_RUN_RE.sub(" ", s)
+    return _SPACE_RUN_RE.sub(" ", s), closed
+
+
+def _finish_pass(s: str, cfg: CleaningConfig) -> str:
+    """Steps 5-6 of the pass, on the output of steps 1-4."""
     # 5. drop comma segments whose trimmed text already occurred
     if cfg.dedup:
         seen: set[str] = set()
@@ -144,6 +176,10 @@ def _clean_pass(raw: str, cfg: CleaningConfig) -> str:
     if not s.endswith("."):
         s += "."
     return s
+
+
+def _clean_pass(raw: str, cfg: CleaningConfig) -> str:
+    return _finish_pass(_strip_piece(raw, cfg)[0], cfg)
 
 
 def _may_change(s: str, cfg: CleaningConfig) -> bool:
@@ -177,7 +213,11 @@ def clean_description(raw: str, cfg: CleaningConfig | None = None) -> str:
     is idempotent.  Empty output is legal.
     """
     cfg = cfg or CleaningConfig()
-    s = _clean_pass(raw, cfg)
+    return _settle(_clean_pass(raw, cfg), cfg)
+
+
+def _settle(s: str, cfg: CleaningConfig) -> str:
+    """The fixed point from ``s``, the output of a first pass."""
     if not _may_change(s, cfg):
         return s
     for _ in range(15):
@@ -201,20 +241,31 @@ def build_dataset(
     order; a code that is malformed or misses the store (and, with
     ``parent_fallback``, its parent chain) is skipped and counted.
     Annotations whose codes all miss the store, or whose cleaned text is
-    empty, are dropped and counted in the report.  Distinct codes and raw
-    descriptions are resolved and cleaned once; ``jobs`` is accepted and
-    ignored (the build is serial).
+    empty, are dropped and counted in the report.  Each distinct code is
+    resolved once, and each distinct correlate goes through steps 1-4 of
+    the cleaning pass once.  Each distinct raw description is cleaned once:
+    when all its correlates' pieces are closed, by joining the pieces and
+    running steps 5-6 and the fixed-point re-runs; otherwise by
+    ``clean_description`` on the raw text.  The caption always equals
+    ``clean_description(raw, cfg)``.  ``jobs`` is accepted and ignored (the
+    build is serial).
     """
     cfg = cfg or CleaningConfig()
     report = BuildReport(input=len(annotations))
     resolved: dict[str, str | None] = {}
+    # correlate -> its steps 1-4 piece, None when the piece is open
+    pieces: dict[str, str | None] = {}
     cleaned: dict[str, str] = {}
     records: list[CaptionRecord] = []
     for record in annotations:
         texts: list[str] = []
         for code in record.codes:
             if code not in resolved:
-                resolved[code] = _resolve_code(code, store, parent_fallback)
+                text = _resolve_code(code, store, parent_fallback)
+                if text is not None and text not in pieces:
+                    piece, closed = _strip_piece(text, cfg)
+                    pieces[text] = piece if closed else None
+                resolved[code] = text
             text = resolved[code]
             if text is None:
                 report.unresolved_codes += 1
@@ -224,12 +275,18 @@ def build_dataset(
             report.dropped_empty += 1
             continue
         raw = ", ".join(texts)
-        if raw not in cleaned:
-            cleaned[raw] = clean_description(raw, cfg)
-        if not cleaned[raw]:
+        clean = cleaned.get(raw)
+        if clean is None:
+            stripped = [pieces[text] for text in texts]
+            if None in stripped:
+                clean = clean_description(raw, cfg)
+            else:
+                clean = _settle(_finish_pass(", ".join(stripped), cfg), cfg)
+            cleaned[raw] = clean
+        if not clean:
             report.dropped_empty += 1
             continue
-        records.append(CaptionRecord(record.image_id, raw, cleaned[raw]))
+        records.append(CaptionRecord(record.image_id, raw, clean))
     report.kept = len(records)
     return records, report
 

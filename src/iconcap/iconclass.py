@@ -135,16 +135,25 @@ class CorrelateStore:
 
     @classmethod
     def from_pairs(cls, pairs: dict[str, str]) -> CorrelateStore:
+        """Map each key's canonical form to its text; empty texts skipped.
+
+        Raises SchemaViolation naming the key when two keys canonicalize to
+        one notation with different texts.
+        """
         entries: dict[str, str] = {}
         for key, text in pairs.items():
-            if not text:
-                continue
-            entries[_canonical(key)] = text
+            if text:
+                _add_entry(entries, key, text, "")
         return cls(entries)
 
     @classmethod
     def from_tsv(cls, path: str | Path) -> CorrelateStore:
-        """Load ``notation<TAB>text`` lines; ``#`` lines and blanks skipped."""
+        """Load ``notation<TAB>text`` lines; ``#`` lines and blanks skipped.
+
+        Raises SchemaViolation naming the file and the line of a line
+        without a tab, or of a key whose notation an earlier line gave a
+        different text.
+        """
         entries: dict[str, str] = {}
         with reading(path, "correlate table") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -156,9 +165,8 @@ class CorrelateStore:
                         f"{path}: line {lineno} has no tab separator"
                     )
                 key, text = line.split("\t", 1)
-                if not text:
-                    continue
-                entries[_canonical(key)] = text
+                if text:
+                    _add_entry(entries, key, text, f"{path}: line {lineno}: ")
         return cls(entries)
 
     @classmethod
@@ -170,11 +178,34 @@ class CorrelateStore:
                 raise SchemaViolation(
                     f"{path}: correlate for {key!r} is not a string"
                 )
-        return cls.from_pairs(data)
+        try:
+            return cls.from_pairs(data)
+        except SchemaViolation as exc:
+            raise SchemaViolation(f"{path}: {exc}") from None
+
+
+def _add_entry(entries: dict[str, str], key: str, text: str,
+               where: str) -> None:
+    canonical = _canonical(key)
+    earlier = entries.setdefault(canonical, text)
+    if earlier != text:
+        raise SchemaViolation(
+            f"{where}correlate {text!r} for {key!r} conflicts with "
+            f"{earlier!r}, given earlier for {canonical!r}"
+        )
+
+
+# text that fullmatches this is a notation's own serialization: an ASCII
+# base, then qualifiers, then keys whose content does not start with "+"
+_CANONICAL = re.compile(
+    r"[0-9][0-9A-Z]*(?:\((?!\+)[^()]*\))*(?:\(\+(?!\+)[^()]*\))*"
+)
 
 
 def _canonical(key: str) -> str:
     """Canonical form of a store key; unparseable keys kept verbatim."""
+    if _CANONICAL.fullmatch(key):
+        return key
     try:
         return parse_notation(key).serialize()
     except MalformedNotation:

@@ -237,23 +237,107 @@ def reference_raw(record, store):
 
 
 def test_one_pass_per_distinct_raw(tmp_path, monkeypatch):
+    # steps 1-4 of the pass run once per distinct correlate, steps 5-6 once
+    # per distinct raw description
     ann, tsv = write_corpus(tmp_path, n_images=300, seed=2)
     annotations = load_annotations(ann)
     store = CorrelateStore.from_tsv(tsv)
     raws = {reference_raw(record, store) for record in annotations} - {None}
-    calls = []
-    real_pass = captions._clean_pass
+    used = {store.lookup(parse_notation(code).serialize())
+            for record in annotations for code in record.codes}
+    strips, finishes = [], []
+    real_strip, real_finish = captions._strip_piece, captions._finish_pass
 
-    def counting_pass(raw, cfg):
-        calls.append(raw)
-        return real_pass(raw, cfg)
+    def counting_strip(raw, cfg):
+        strips.append(raw)
+        return real_strip(raw, cfg)
 
-    monkeypatch.setattr(captions, "_clean_pass", counting_pass)
+    def counting_finish(s, cfg):
+        finishes.append(s)
+        return real_finish(s, cfg)
+
+    monkeypatch.setattr(captions, "_strip_piece", counting_strip)
+    monkeypatch.setattr(captions, "_finish_pass", counting_finish)
     records, _ = build_dataset(annotations, store)
-    assert sorted(calls) == sorted(raws)
+    assert sorted(strips) == sorted(used - {None})
+    assert len(finishes) == len(raws)
     by_id = {record.image_id: record for record in annotations}
-    assert all(r.raw_description == reference_raw(by_id[r.image_id], store)
-               for r in records)
+    for r in records:
+        raw = reference_raw(by_id[r.image_id], store)
+        assert r.raw_description == raw
+        assert r.clean_description == clean_description(raw)
+
+
+def composed_clean(pieces, cfg):
+    """Steps 1-4 on each piece, joined, then steps 5-6 and the re-runs.
+
+    What build_dataset computes for a raw description whose pieces are all
+    closed; the pieces' closed flags are returned alongside.
+    """
+    stripped = [captions._strip_piece(piece, cfg) for piece in pieces]
+    joined = ", ".join(piece for piece, _ in stripped)
+    clean = captions._settle(captions._finish_pass(joined, cfg), cfg)
+    return clean, [closed for _, closed in stripped]
+
+
+def built_clean(pieces, cfg):
+    """The clean build_dataset gives an image whose correlates are pieces."""
+    store = CorrelateStore.from_pairs(
+        {str(i): piece for i, piece in enumerate(pieces, 1)})
+    codes = tuple(str(i) for i in range(1, len(pieces) + 1))
+    records, _ = build_dataset([AnnotationRecord("a.jpg", codes)], store, cfg)
+    return records[0].clean_description if records else ""
+
+
+COMPOSE_CONFIGS = CONFIGS + [CleaningConfig(uppercase_stoplist=())]
+
+# a piece is a leading edge, often one that could interact with the
+# separator before it, then a body; plain letters and whole groups
+# outnumber stray parentheses, so that many drawn lists have every piece
+# closed and take the composed path
+piece_edge = st.sampled_from(["", "a", "b", "(a)"] * 4 + [
+    " ", "-", "-BB - ", "- E - ", "etc.", ", etc. ", ", etc.", "(", ")"])
+piece_body = st.lists(
+    st.sampled_from(["(", ")", "(a)", " - BB - ", " - E - ", "-", "etc.",
+                     ", etc", ", etc.", ".", ",", " ", "  "]
+                    + ["a", "b", "B", "E"] * 3),
+    max_size=8,
+).map("".join)
+piece_text = st.builds(
+    "{}{}".format, piece_edge, piece_body).filter(bool)
+
+
+@settings(max_examples=1000)
+@given(st.lists(piece_text, min_size=1, max_size=5))
+def test_composed_clean_equals_cleaning_the_join(pieces):
+    raw = ", ".join(pieces)
+    for cfg in COMPOSE_CONFIGS:
+        expected = clean_description(raw, cfg)
+        clean, closed = composed_clean(pieces, cfg)
+        if all(closed):
+            assert clean == expected
+        assert built_clean(pieces, cfg) == expected
+
+
+# one piece list per way a piece is open; joined naively, each would be
+# cleaned differently from its raw description
+OPEN_PIECES = {
+    "paren-left-after-groups": ["a (", ") b"],
+    "starts-with-space": ["a", " b"],
+    "starts-with-dash": ["a", "- BB - c"],
+    "starts-with-etc-after-stoplist": ["a", "etc. b, a"],
+    "starts-with-space-after-etc": ["a", ", etc. b"],
+}
+
+
+@pytest.mark.parametrize("pieces", OPEN_PIECES.values(), ids=OPEN_PIECES)
+def test_open_piece_falls_back_to_cleaning_the_join(pieces):
+    cfg = CleaningConfig()
+    expected = clean_description(", ".join(pieces), cfg)
+    clean, closed = composed_clean(pieces, cfg)
+    assert not all(closed)
+    assert clean != expected
+    assert built_clean(pieces, cfg) == expected
 
 
 class TestBuildDataset:

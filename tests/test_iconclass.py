@@ -18,6 +18,8 @@ from iconcap import (
     parent,
     parse_notation,
 )
+from iconcap import captions, iconclass
+from iconcap.iconclass import ancestors
 
 
 class TestParse:
@@ -165,6 +167,37 @@ class TestStoreLoaders:
         with pytest.raises(SchemaViolation):
             CorrelateStore.from_json(path)
 
+    def test_tsv_conflicting_key_names_line(self, tmp_path):
+        # " 73" canonicalizes to "73": the caption must not depend on which
+        # of the two lines comes last
+        path = tmp_path / "correlates.tsv"
+        path.write_text("73\tsea\n25\tship\n 73\tship\n", encoding="utf-8")
+        with pytest.raises(SchemaViolation) as exc:
+            CorrelateStore.from_tsv(path)
+        message = str(exc.value)
+        assert message.startswith(f"{path}: line 3: ")
+        assert "' 73'" in message and "'sea'" in message
+
+    def test_tsv_identical_repeat_allowed(self, tmp_path):
+        path = tmp_path / "correlates.tsv"
+        path.write_text("73\tsea\n7 3\tsea\n73\t\n", encoding="utf-8")
+        assert CorrelateStore.from_tsv(path).entries == {"73": "sea"}
+
+    def test_pairs_conflicting_key_named(self):
+        with pytest.raises(SchemaViolation, match="'73A '"):
+            CorrelateStore.from_pairs({"73A": "sea", "73A ": "ship"})
+        store = CorrelateStore.from_pairs({"73A": "sea", "73A ": "sea"})
+        assert store.entries == {"73A": "sea"}
+
+    def test_json_conflicting_key_names_file(self, tmp_path):
+        path = tmp_path / "correlates.json"
+        path.write_text(json.dumps({"73(+1)": "sea", "73 (+1)": "ship"}),
+                        encoding="utf-8")
+        with pytest.raises(SchemaViolation) as exc:
+            CorrelateStore.from_json(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert "'73 (+1)'" in str(exc.value)
+
 
 class TestLoadAnnotations:
     def test_single_entry(self, tmp_path):
@@ -240,6 +273,53 @@ def test_parent_chain_terminates_and_shortens(s):
         steps += 1
         assert steps <= len(s)
         node = parent(node)
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.from_regex(iconclass._CANONICAL, fullmatch=True),
+                 notation_text, arbitrary_text))
+@example("7(++1)")
+@example("7(+(1)")
+@example("7(+1)(X)")
+@example("7((X))")
+@example("7 3")
+@example("\u0663")
+def test_canonical_text_serializes_unchanged(s):
+    if iconclass._CANONICAL.fullmatch(s):
+        assert parse_notation(s).serialize() == s
+        assert iconclass._canonical(s) == s
+
+
+def reference_resolve(code, store, parent_fallback):
+    """Parse, then look up; the oracle for captions._resolve_code."""
+    try:
+        notation = parse_notation(code)
+    except MalformedNotation:
+        return None
+    return correlate(notation, store, parent_fallback=parent_fallback)
+
+
+@settings(max_examples=500)
+@given(st.one_of(notation_text, arbitrary_text, st.sampled_from(
+    ["7(++1)", "7(+1)(X)", "73 ", "73(+1)", "25G(ROSE)(+2)", "1A(X"])),
+    st.data())
+def test_resolve_code_matches_parse_then_correlate(code, data):
+    # the store holds a few roots, a malformed key kept verbatim and some of
+    # the code's own ancestors, so codes hit directly, through their
+    # parents, and not at all
+    keys = ["1", "7", "73", "25G(ROSE)", "7(++1)"]
+    try:
+        notation = parse_notation(code)
+    except MalformedNotation:
+        pass
+    else:
+        chain = [notation, *ancestors(notation)]
+        keys += [n.serialize() for n in data.draw(
+            st.lists(st.sampled_from(chain), max_size=3))]
+    store = CorrelateStore.from_pairs({key: f"<{key}>" for key in keys})
+    for parent_fallback in (False, True):
+        assert captions._resolve_code(code, store, parent_fallback) == \
+            reference_resolve(code, store, parent_fallback)
 
 
 def _byte_offset(text, index):
