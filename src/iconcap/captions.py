@@ -25,14 +25,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .errors import DuplicateId, InsufficientRecords
-from .iconclass import (
-    _CANONICAL,
-    AnnotationRecord,
-    CorrelateStore,
-    MalformedNotation,
-    correlate,
-    parse_notation,
-)
+from .iconclass import AnnotationRecord, CorrelateStore, resolve_code
 from .jsonl import read_captions, write_captions
 
 
@@ -97,25 +90,6 @@ class BuildReport:
 
     def as_dict(self) -> dict[str, int]:
         return asdict(self)
-
-
-def _resolve_code(
-    code: str, store: CorrelateStore, parent_fallback: bool
-) -> str | None:
-    """The code's correlate; None when it is malformed or misses the store.
-
-    A code already in canonical form is its own store key, so it is parsed
-    only when it misses and the parent chain is to be walked.
-    """
-    if _CANONICAL.fullmatch(code):
-        text = store.lookup(code)
-        if text is not None or not parent_fallback:
-            return text
-    try:
-        notation = parse_notation(code)
-    except MalformedNotation:
-        return None
-    return correlate(notation, store, parent_fallback=parent_fallback)
 
 
 _GROUP_RE = re.compile(r"\([^()]*\)")
@@ -261,7 +235,7 @@ def build_dataset(
         texts: list[str] = []
         for code in record.codes:
             if code not in resolved:
-                text = _resolve_code(code, store, parent_fallback)
+                text = resolve_code(code, store, parent_fallback)
                 if text is not None and text not in pieces:
                     piece, closed = _strip_piece(text, cfg)
                     pieces[text] = piece if closed else None

@@ -232,6 +232,25 @@ def correlate(
     return None
 
 
+def resolve_code(
+    code: str, store: CorrelateStore, parent_fallback: bool
+) -> str | None:
+    """The code's correlate; None when it is malformed or misses the store.
+
+    A code already in canonical form is its own store key, so it is parsed
+    only when it misses and the parent chain is to be walked.
+    """
+    if _CANONICAL.fullmatch(code):
+        text = store.lookup(code)
+        if text is not None or not parent_fallback:
+            return text
+    try:
+        notation = parse_notation(code)
+    except MalformedNotation:
+        return None
+    return correlate(notation, store, parent_fallback=parent_fallback)
+
+
 @dataclass(frozen=True)
 class AnnotationRecord:
     """One image and its notation codes, in source order."""

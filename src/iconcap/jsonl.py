@@ -86,11 +86,24 @@ def reading(path: str | Path, what: str = "",
 
 
 def read_json_object(path: str | Path, what: str) -> dict:
-    """Read the JSON object in ``path``; SchemaViolation names the path."""
+    """Read the JSON object in ``path``; SchemaViolation names the path.
+
+    A key that repeats in one object must repeat its value too: a repeat
+    with a different value is a SchemaViolation naming the path and key.
+    """
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            for key, value in pairs:
+                if obj[key] != value:
+                    raise SchemaViolation(
+                        f"{path}: key {key!r} repeats with a different value")
+        return obj
+
     with reading(path, what) as fh:
         text = fh.read()
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique)
     except RecursionError:
         raise SchemaViolation(f"{path}: JSON nested too deeply") from None
     except ValueError as exc:  # JSONDecodeError or the int digit limit

@@ -24,6 +24,10 @@ for its pair.  CIDEr's document frequencies are a separate first pass that
 reads each image's set of reference n-grams, since IDF must be complete
 before any pair is scored.  METEOR stems each token once through a token
 -> stem memo; :func:`evaluate_pairs` shares one memo over the whole call.
+ROUGE-L's LCS is Hyyrö's bit-parallel recurrence over the candidate's
+token position masks (:func:`_positions`), and METEOR's greedy alignment
+takes each match as the lowest free bit of a reference mask, so neither
+rescans a caption once per token of the other.
 Every memo lives for one call only, and no corpus-wide count table is ever
 held.  The public scorers are thin wrappers over the same kernels, and
 every float sum runs in a fixed order (the corpus sums in image-id order),
@@ -214,23 +218,24 @@ def corpus_bleu(
 # ROUGE-L
 # ---------------------------------------------------------------------------
 
+def _positions(tokens: Iterable[str]) -> dict[str, int]:
+    """Each distinct token's bit mask of its positions: bit i is token i."""
+    masks: dict[str, int] = {}
+    for i, token in enumerate(tokens):
+        masks[token] = masks.get(token, 0) | 1 << i
+    return masks
+
+
 def lcs_length(a: tuple[str, ...], b: tuple[str, ...]) -> int:
-    """Longest common subsequence length, O(len(a) * len(b))."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        append = cur.append
-        for j, y in enumerate(b, 1):
-            if x == y:
-                append(prev[j - 1] + 1)
-            else:
-                left = cur[j - 1]
-                up = prev[j]
-                append(left if left >= up else up)
-        prev = cur
-    return prev[-1]
+    """Longest common subsequence length: Hyyrö's bit-parallel recurrence
+    (2004, after Allison and Dix 1986).  After ``b[:k]``, bit i of ``v`` is 0
+    where ``a[:i + 1]`` has a longer LCS with ``b[:k]`` than ``a[:i]`` has."""
+    masks = _positions(a)
+    full = v = (1 << len(a)) - 1
+    for y in b:
+        u = v & masks.get(y, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def rouge_l(pair: EvalPair, beta: float = DEFAULT_ROUGE_BETA) -> float:
@@ -287,31 +292,22 @@ def _align(
     reference: tuple[str, ...],
     cand_stems: list[str],
     ref_stems: list[str],
-) -> list[tuple[int, int]]:
-    """Greedy unigram alignment: exact stage, then stem stage."""
-    cand_free = [True] * len(candidate)
-    ref_free = [True] * len(reference)
-    matches: list[tuple[int, int]] = []
+) -> list[int]:
+    """Greedy unigram alignment, exact stage then stem stage: entry i is the
+    reference position candidate token i took, or -1.  A free token takes the
+    lowest free bit of its key's mask, the first free equal reference key."""
+    taken = [-1] * len(candidate)
+    free = (1 << len(reference)) - 1
     for cand_keys, ref_keys in ((candidate, reference), (cand_stems, ref_stems)):
-        for i, c_key in enumerate(cand_keys):
-            if not cand_free[i]:
-                continue
-            for j, r_key in enumerate(ref_keys):
-                if ref_free[j] and c_key == r_key:
-                    cand_free[i] = False
-                    ref_free[j] = False
-                    matches.append((i, j))
-                    break
-    matches.sort()
-    return matches
-
-
-def _count_chunks(matches: list[tuple[int, int]]) -> int:
-    chunks = 1
-    for (i0, j0), (i1, j1) in zip(matches, matches[1:]):
-        if i1 != i0 + 1 or j1 != j0 + 1:
-            chunks += 1
-    return chunks
+        masks = _positions(ref_keys)
+        for i, key in enumerate(cand_keys):
+            if taken[i] < 0:
+                hits = masks.get(key, 0) & free
+                if hits:
+                    low = hits & -hits
+                    free ^= low
+                    taken[i] = low.bit_length() - 1
+    return taken
 
 
 def _meteor(
@@ -325,17 +321,19 @@ def _meteor(
     for ref in pair.references:
         if not ref:
             continue
-        matches = _align(pair.candidate, ref, cand_stems,
-                         _stems(ref, stem_memo))
-        m = len(matches)
+        taken = _align(pair.candidate, ref, cand_stems, _stems(ref, stem_memo))
+        m = len(taken) - taken.count(-1)
         if m == 0:
             continue
+        # j continues a chunk only if the token before took j - 1 >= 0
+        chunks = sum(j == 0 or (j > 0 and prev != j - 1)
+                     for prev, j in zip([-1, *taken], taken))
         precision = m / len(pair.candidate)
         recall = m / len(ref)
         f_mean = (precision * recall) / (
             alpha * precision + (1 - alpha) * recall
         )
-        penalty = gamma * (_count_chunks(matches) / m) ** theta
+        penalty = gamma * (chunks / m) ** theta
         score = f_mean * (1 - penalty)
         if score > best:
             best = score

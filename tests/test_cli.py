@@ -86,6 +86,18 @@ class TestExitCodes:
             capsys.readouterr().err
         assert not out.exists()
 
+    def test_build_repeated_image_id_is_domain_error(self, tmp_path,
+                                                     capsys):
+        ann, tsv = write_corpus(tmp_path, n_images=3)
+        ann.write_text('{"a.jpg": ["73"], "a.jpg": ["11F"]}')
+        out = tmp_path / "records.jsonl"
+        assert run(["build", "--annotations", str(ann), "--correlates",
+                    str(tsv), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"iconcap build: error: {ann}: key 'a.jpg' repeats with a "
+            f"different value\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("token", ["bb", "ABCDE", "B1"])
     def test_build_bad_stoplist_is_usage_error(self, tmp_path, capsys, token):
         ann, tsv = write_corpus(tmp_path, n_images=3)

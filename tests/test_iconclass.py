@@ -18,7 +18,7 @@ from iconcap import (
     parent,
     parse_notation,
 )
-from iconcap import captions, iconclass
+from iconcap import iconclass
 from iconcap.iconclass import ancestors
 
 
@@ -198,6 +198,19 @@ class TestStoreLoaders:
         assert str(exc.value).startswith(f"{path}: ")
         assert "'73 (+1)'" in str(exc.value)
 
+    def test_json_repeated_key_names_file_and_key(self, tmp_path):
+        # json.loads alone would keep the last value: a silent "ship."
+        path = tmp_path / "correlates.json"
+        path.write_text('{"73": "sea", "73": "ship"}', encoding="utf-8")
+        with pytest.raises(SchemaViolation) as exc:
+            CorrelateStore.from_json(path)
+        assert str(exc.value) == \
+            f"{path}: key '73' repeats with a different value"
+        path.write_text('{"73": "sea", "25": "ship", "73": "sea"}',
+                        encoding="utf-8")
+        assert CorrelateStore.from_json(path).entries == \
+            {"73": "sea", "25": "ship"}
+
 
 class TestLoadAnnotations:
     def test_single_entry(self, tmp_path):
@@ -230,6 +243,28 @@ class TestLoadAnnotations:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):
             load_annotations(tmp_path / "nope.json")
+
+    def test_repeated_image_id_names_file_and_key(self, tmp_path):
+        path = tmp_path / "ann.json"
+        path.write_text('{"a.jpg": ["73"], "a.jpg": ["11F"]}',
+                        encoding="utf-8")
+        with pytest.raises(SchemaViolation) as exc:
+            load_annotations(path)
+        assert str(exc.value) == \
+            f"{path}: key 'a.jpg' repeats with a different value"
+
+    def test_identical_repeat_allowed(self, tmp_path):
+        path = tmp_path / "ann.json"
+        path.write_text('{"a.jpg": ["73"], "b.jpg": [], "a.jpg": ["73"]}',
+                        encoding="utf-8")
+        assert load_annotations(path) == [AnnotationRecord("a.jpg", ("73",)),
+                                          AnnotationRecord("b.jpg", ())]
+
+    def test_repeated_key_in_a_nested_object_names_it(self, tmp_path):
+        path = tmp_path / "ann.json"
+        path.write_text('{"a.jpg": {"x": 1, "x": 2}}', encoding="utf-8")
+        with pytest.raises(SchemaViolation, match="key 'x' repeats"):
+            load_annotations(path)
 
 
 notation_text = st.from_regex(
@@ -291,7 +326,7 @@ def test_canonical_text_serializes_unchanged(s):
 
 
 def reference_resolve(code, store, parent_fallback):
-    """Parse, then look up; the oracle for captions._resolve_code."""
+    """Parse, then look up; the oracle for iconclass.resolve_code."""
     try:
         notation = parse_notation(code)
     except MalformedNotation:
@@ -318,7 +353,7 @@ def test_resolve_code_matches_parse_then_correlate(code, data):
             st.lists(st.sampled_from(chain), max_size=3))]
     store = CorrelateStore.from_pairs({key: f"<{key}>" for key in keys})
     for parent_fallback in (False, True):
-        assert captions._resolve_code(code, store, parent_fallback) == \
+        assert iconclass.resolve_code(code, store, parent_fallback) == \
             reference_resolve(code, store, parent_fallback)
 
 

@@ -119,6 +119,84 @@ def brute_force_lcs(a, b):
     return best
 
 
+def reference_lcs_length(a, b):
+    """The O(len(a) * len(b)) dynamic program that lcs_length replaced."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        append = cur.append
+        for j, y in enumerate(b, 1):
+            if x == y:
+                append(prev[j - 1] + 1)
+            else:
+                left = cur[j - 1]
+                up = prev[j]
+                append(left if left >= up else up)
+        prev = cur
+    return prev[-1]
+
+
+def reference_align(candidate, reference, cand_stems, ref_stems):
+    """The reference scan that _align replaced: sorted (i, j) matches."""
+    cand_free = [True] * len(candidate)
+    ref_free = [True] * len(reference)
+    matches = []
+    for cand_keys, ref_keys in ((candidate, reference), (cand_stems, ref_stems)):
+        for i, c_key in enumerate(cand_keys):
+            if not cand_free[i]:
+                continue
+            for j, r_key in enumerate(ref_keys):
+                if ref_free[j] and c_key == r_key:
+                    cand_free[i] = False
+                    ref_free[j] = False
+                    matches.append((i, j))
+                    break
+    matches.sort()
+    return matches
+
+
+def reference_rouge_l(p, beta=metrics.DEFAULT_ROUGE_BETA):
+    """rouge_l's formula over reference_lcs_length."""
+    best = 0.0
+    for ref in p.references:
+        length = reference_lcs_length(p.candidate, ref)
+        if length == 0:
+            continue
+        recall = length / len(ref)
+        precision = length / len(p.candidate)
+        score = ((1 + beta**2) * recall * precision) / (
+            recall + beta**2 * precision)
+        best = max(best, score)
+    return best
+
+
+def reference_meteor(p, alpha=metrics.DEFAULT_METEOR_ALPHA,
+                     gamma=metrics.DEFAULT_METEOR_GAMMA,
+                     theta=metrics.DEFAULT_METEOR_THETA):
+    """meteor's formula over reference_align, chunks counted on the pairs."""
+    if not p.candidate:
+        return 0.0
+    best = 0.0
+    for ref in p.references:
+        matches = reference_align(p.candidate, ref,
+                                  [light_stem(t) for t in p.candidate],
+                                  [light_stem(t) for t in ref])
+        m = len(matches)
+        if m == 0:
+            continue
+        chunks = 1 + sum(i1 != i0 + 1 or j1 != j0 + 1
+                         for (i0, j0), (i1, j1) in zip(matches, matches[1:]))
+        precision = m / len(p.candidate)
+        recall = m / len(ref)
+        f_mean = (precision * recall) / (
+            alpha * precision + (1 - alpha) * recall)
+        score = f_mean * (1 - gamma * (chunks / m) ** theta)
+        best = max(best, score)
+    return best
+
+
 class TestTokenize:
     def test_terminal_period_standalone(self):
         assert tokenize("New Testament.") == ["new", "testament", "."]
@@ -407,6 +485,61 @@ def test_disjoint_zero_invariants(tokens):
     assert meteor(p) == 0.0
     eps = 5e-16
     assert bleu(p, max_n=1, smoothing_epsilon=eps) <= eps
+
+
+# stems collide: sing/sings/singing and ship/ships share a stem, so the
+# stem stage has work left after the exact stage
+stem_token = st.sampled_from(
+    ["sing", "sings", "singing", "ship", "ships", "sea", "a"])
+# short, past one 64-bit word, and past 200 tokens: no word width is assumed
+caption_length = st.one_of(st.integers(0, 12), st.integers(60, 80),
+                           st.integers(190, 230))
+caption = caption_length.flatmap(
+    lambda n: st.lists(stem_token, min_size=n, max_size=n).map(tuple))
+eval_pair = st.builds(
+    lambda cand, refs: EvalPair("img", cand, tuple(refs)),
+    caption, st.lists(caption, min_size=1, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(caption, caption)
+def test_lcs_length_matches_dp_oracle(a, b):
+    assert metrics.lcs_length(a, b) == reference_lcs_length(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(eval_pair)
+def test_rouge_l_matches_oracle(p):
+    assert rouge_l(p) == reference_rouge_l(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(eval_pair)
+def test_meteor_matches_oracle(p):
+    cand_stems = [light_stem(t) for t in p.candidate]
+    for ref in p.references:
+        ref_stems = [light_stem(t) for t in ref]
+        taken = metrics._align(p.candidate, ref, cand_stems, ref_stems)
+        assert [(i, j) for i, j in enumerate(taken) if j >= 0] == \
+            reference_align(p.candidate, ref, cand_stems, ref_stems)
+    assert meteor(p) == reference_meteor(p)
+    assert meteor(p, gamma=0.5, theta=3.0) == \
+        reference_meteor(p, gamma=0.5, theta=3.0)
+
+
+def test_unaligned_token_then_reference_start_opens_chunk():
+    # "x" takes nothing (-1) and "sea" takes reference position 0; -1 + 1
+    # is 0, yet "sea" opens a chunk, so "sea ship" is one chunk, not zero
+    p = pair(["x", "sea", "ship"], [["sea", "ship"]])
+    assert metrics._align(p.candidate, p.references[0], ["x", "sea", "ship"],
+                          ["sea", "ship"]) == [-1, 0, 1]
+    m, chunks = 2, 1
+    precision, recall = m / 3, m / 2
+    f_mean = precision * recall / (0.9 * precision + 0.1 * recall)
+    expected = f_mean * (1 - 0.5 * (chunks / m) ** 3.0)
+    got = meteor(p, gamma=0.5, theta=3.0)
+    assert got == pytest.approx(expected, abs=1e-12)
+    assert got == reference_meteor(p, gamma=0.5, theta=3.0)
 
 
 def write_jsonl(path, rows):
