@@ -99,7 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build caption records from annotations")
     p.add_argument("--annotations", required=True, metavar="JSON")
     p.add_argument("--correlates", required=True, metavar="PATH")
-    p.add_argument("--correlates-format", choices=("tsv", "json"), default="tsv")
     p.add_argument("--out", required=True, metavar="JSONL")
     p.add_argument("--parent-fallback", action="store_true",
                    help="resolve missing codes through their parent chain")
@@ -199,15 +198,19 @@ def _cmd_parse(args: argparse.Namespace) -> dict[str, object]:
     return {}
 
 
-def _load_store(args: argparse.Namespace) -> CorrelateStore:
-    if args.correlates_format == "json":
-        return CorrelateStore.from_json(args.correlates)
-    return CorrelateStore.from_tsv(args.correlates)
+def _opens_with_object(path: str, what: str = "") -> bool:
+    """Whether the first non-blank line of ``path`` starts with ``{``."""
+    with reading(path, what) as fh:
+        if Path(path).is_fifo():  # the caller opens path again
+            raise OSError("a pipe cannot be read twice")
+        return next(filter(None, map(str.strip, fh)), "").startswith("{")
 
 
 def _cmd_build(args: argparse.Namespace) -> dict[str, object]:
     annotations = load_annotations(args.annotations)
-    store = _load_store(args)
+    store = (CorrelateStore.from_json
+             if _opens_with_object(args.correlates, "correlate table")
+             else CorrelateStore.from_tsv)(args.correlates)
     cfg = CleaningConfig(
         uppercase_stoplist=tuple(args.stoplist
                                  or CleaningConfig.uppercase_stoplist),
@@ -274,15 +277,11 @@ def _cmd_analyze_lengths(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _read_test_ids(path: str) -> list[str]:
-    # caption records (test split when marked) when the first non-blank
-    # line starts with "{", else one id per line
+    if _opens_with_object(path):
+        return [image_id for _, image_id, _, split in read_captions(path)
+                if split in (None, "test")]
     with reading(path) as fh:
-        ids = (line.strip() for line in fh if line.strip())
-        first = next(ids, "")
-        if not first.startswith("{"):
-            return [first, *ids] if first else []
-    return [image_id for _, image_id, _, split in read_captions(path)
-            if split in (None, "test")]
+        return [line.strip() for line in fh if line.strip()]
 
 
 def _cmd_baseline(args: argparse.Namespace) -> dict[str, object]:

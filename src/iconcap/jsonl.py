@@ -70,14 +70,14 @@ def _bad_key(row: dict, key: str, expected: str) -> str:
 @contextlib.contextmanager
 def reading(path: str | Path, what: str = "",
             newline: str | None = None) -> Iterator[TextIO]:
-    """Open ``path`` as UTF-8 text for the block.
+    """Open ``path`` as UTF-8 text for the block, past a leading BOM.
 
     An OSError or UnicodeDecodeError raised opening or reading it there
     becomes ``IoFailure("cannot read <what> <path>: ...")``.
     """
     name = f"{what} {path}" if what else path
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except OSError as exc:
         raise IoFailure(f"cannot read {name}: {exc}") from exc

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iconcap import cli
+from iconcap.analysis import load_genre_csv
 from iconcap.cli import run
 from synth import write_corpus
 
@@ -310,8 +312,7 @@ def _build_argv(tmp_path, bad_flag, bad):
     argv = {
         "annotations": ["--annotations", str(bad), "--correlates", str(tsv)],
         "tsv": ["--annotations", str(ann), "--correlates", str(bad)],
-        "json": ["--annotations", str(ann), "--correlates", str(bad),
-                 "--correlates-format", "json"],
+        "json": ["--annotations", str(ann), "--correlates", str(bad)],
     }[bad_flag]
     return ["build", *argv, "--out", str(tmp_path / "out.jsonl"), "--quiet"]
 
@@ -328,7 +329,8 @@ class TestUndecodableInputs:
     @pytest.mark.parametrize("bad_flag", ["annotations", "json"])
     def test_build_input_nested_too_deeply(self, tmp_path, capsys, bad_flag):
         bad = tmp_path / "deep.json"
-        bad.write_text("[" * 100_000)
+        # an object, so a correlate table opens with "{" and is read as JSON
+        bad.write_text('{"a": ' * 100_000)
         assert run(_build_argv(tmp_path, bad_flag, bad)) == 1
         assert f"{bad}: JSON nested too deeply" in capsys.readouterr().err
         assert not (tmp_path / "out.jsonl").exists()
@@ -364,6 +366,133 @@ class TestUndecodableInputs:
             capsys.readouterr().err
 
 
+_BUILT = ('{"image_id": "a.jpg", "caption": "sea."}\n'
+          '{"image_id": "b.jpg", "caption": "ship."}\n')
+_TSV = b"73\tsea\n11F\tship\n"
+_JSON = b'{"73": "sea", "11F": "ship"}'
+_ANNOTATIONS = b'{"a.jpg": ["73"], "b.jpg": ["11F"]}'
+_BOM = b"\xef\xbb\xbf"
+
+
+def _build_from(tmp_path, correlates, annotations=_ANNOTATIONS, *flags):
+    """Exit code and records text (None when not written) of a build from
+    these bytes."""
+    ann = tmp_path / "ann.json"
+    ann.write_bytes(annotations)
+    corr = tmp_path / "corr"
+    corr.write_bytes(correlates)
+    out = tmp_path / "records.jsonl"
+    code = run(["build", "--annotations", str(ann), "--correlates",
+                str(corr), "--out", str(out), "--quiet", *flags])
+    return code, out.read_text() if out.exists() else None
+
+
+class TestCorrelateForm:
+    """The first non-blank line of a correlate table decides its form: a
+    JSON object when it starts with "{", TSV otherwise."""
+
+    def test_format_flag_is_usage_error(self, tmp_path, capsys):
+        assert _build_from(tmp_path, _JSON, _ANNOTATIONS,
+                           "--correlates-format", "json") == (2, None)
+        assert "unrecognized arguments: --correlates-format" in \
+            capsys.readouterr().err
+
+    def test_json_after_blank_lines(self, tmp_path):
+        table = b'\n \n {"73": "sea",\n"11F": "ship"}\n'
+        assert _build_from(tmp_path, table) == (0, _BUILT)
+
+    @pytest.mark.parametrize("head", [b"\n \n", b"# {notation}\ttext\n"],
+                             ids=["blank", "comment"])
+    def test_tsv_after_blank_lines_or_comment(self, tmp_path, head):
+        assert _build_from(tmp_path, head + _TSV) == (0, _BUILT)
+
+    def test_tsv_key_opening_with_brace_is_domain_error(self, tmp_path,
+                                                        capsys):
+        assert _build_from(tmp_path, b"{73}\tsea\n" + _TSV) == (1, None)
+        assert f"{tmp_path / 'corr'}: not valid JSON" in \
+            capsys.readouterr().err
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+    @pytest.mark.parametrize("command", ["build", "baseline"])
+    def test_pipe_is_domain_error(self, tmp_path, capsys, command):
+        """The form check reads a first line that a pipe would not give
+        again, so a pipe, as from ``<(cat corr.tsv)``, is refused rather
+        than read short."""
+        ann = tmp_path / "ann.json"
+        ann.write_bytes(_ANNOTATIONS)
+        train = tmp_path / "train.jsonl"
+        train.write_text('{"image_id": "t", "caption": "sea."}\n')
+        out = tmp_path / "out.jsonl"
+        read_end, write_end = os.pipe()
+        os.write(write_end, _TSV)
+        os.close(write_end)
+        pipe = f"/dev/fd/{read_end}"
+        try:
+            assert run({
+                "build": ["build", "--annotations", str(ann),
+                          "--correlates", pipe],
+                "baseline": ["baseline", "--train", str(train),
+                             "--ids", pipe],
+            }[command] + ["--out", str(out), "--quiet"]) == 1
+        finally:
+            os.close(read_end)
+        assert f"{pipe}: a pipe cannot be read twice" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_array_led_table_is_domain_error(self, tmp_path, capsys):
+        assert _build_from(tmp_path, b'[["73", "sea"]]\n') == (1, None)
+        assert f"{tmp_path / 'corr'}: line 1 has no tab separator" in \
+            capsys.readouterr().err
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 BOM is skipped: each input reads as its twin
+    without one."""
+
+    @pytest.mark.parametrize("table", [_TSV, _JSON], ids=["tsv", "json"])
+    def test_correlates(self, tmp_path, table):
+        assert _build_from(tmp_path, _BOM + table) == (0, _BUILT)
+
+    def test_annotations(self, tmp_path):
+        assert _build_from(tmp_path, _TSV, _BOM + _ANNOTATIONS) == (0, _BUILT)
+
+    def test_split_in(self, tmp_path):
+        records = tmp_path / "records.jsonl"
+        records.write_bytes(_BOM + b'{"image_id": "a", "caption": "sea."}\n')
+        out = tmp_path / "split.jsonl"
+        assert run(["split", "--in", str(records), "--val", "0",
+                    "--test", "0", "--out", str(out), "--quiet"]) == 0
+        assert out.read_text() == \
+            '{"image_id": "a", "caption": "sea.", "split": "train"}\n'
+
+    def test_eval(self, tmp_path, capsys):
+        cands = tmp_path / "cands.jsonl"
+        cands.write_bytes(_BOM + b'{"image_id": "a", "caption": "sea."}\n')
+        refs = tmp_path / "refs.jsonl"
+        refs.write_bytes(_BOM + b'{"image_id": "a", "caption": "sea."}\n')
+        assert run(["eval", "--candidates", str(cands),
+                    "--references", str(refs), "--quiet"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [row["image_id"] for row in report["examples"]] == ["a"]
+        assert report["corpus"]["bleu1"] == pytest.approx(1.0)
+
+    def test_ids_jsonl(self, tmp_path):
+        train = tmp_path / "train.jsonl"
+        train.write_text('{"image_id": "t", "caption": "sea."}\n')
+        ids = tmp_path / "ids.jsonl"
+        ids.write_bytes(_BOM + b'{"image_id": "b"}\n')
+        out = tmp_path / "cands.jsonl"
+        assert run(["baseline", "--train", str(train), "--ids", str(ids),
+                    "--out", str(out), "--quiet"]) == 0
+        assert out.read_text() == '{"image_id": "b", "caption": "sea."}\n'
+
+    def test_genre_csv_header_skipped(self, tmp_path):
+        genres = tmp_path / "genres.csv"
+        genres.write_bytes(_BOM + b"image_id,genre\na,marine\n")
+        assert load_genre_csv(genres) == {"a": "marine"}
+
+
 # Valid inputs for the fuzz gate; each command reads some of them by name.
 _FUZZ_FILES = {
     "ann.json": b'{"a.jpg": ["73", "11F(ROSE)"], '
@@ -384,7 +513,7 @@ _FUZZ_COMMANDS = [
     ["build", "--annotations", "ann.json", "--correlates", "corr.tsv",
      "--out", "out"],
     ["build", "--annotations", "ann.json", "--correlates", "corr.json",
-     "--correlates-format", "json", "--out", "out"],
+     "--out", "out"],
     ["split", "--in", "caps.jsonl", "--val", "1", "--test", "1",
      "--out", "out"],
     ["eval", "--candidates", "refs.jsonl", "--references", "caps.jsonl",
