@@ -339,11 +339,5 @@ def read_records_jsonl(path: str | Path) -> list[CaptionRecord]:
 
     Raises DuplicateId naming the file and the line of a repeated id.
     """
-    records: list[CaptionRecord] = []
-    seen: set[str] = set()
-    for lineno, image_id, caption, split in read_captions(path):
-        if image_id in seen:
-            raise DuplicateId(image_id, f"{path}: line {lineno}")
-        seen.add(image_id)
-        records.append(CaptionRecord(image_id, "", caption, split))
-    return records
+    return [CaptionRecord(image_id, "", caption, split)
+            for image_id, caption, split in read_captions(path)]

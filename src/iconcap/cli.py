@@ -38,7 +38,7 @@ from .captions import (
     read_records_jsonl,
     write_records_jsonl,
 )
-from .errors import IconcapError, IoFailure
+from .errors import EmptyInput, IconcapError, IoFailure
 from .iconclass import CorrelateStore, load_annotations, parse_notation
 from .jsonl import SPLITS, read_captions, reading, write_atomic, write_captions
 from .metrics import EvalConfig, evaluate, load_caption_map
@@ -244,10 +244,12 @@ def _cmd_split(args: argparse.Namespace) -> dict[str, object]:
 def _cmd_eval(args: argparse.Namespace) -> dict[str, object]:
     config = EvalConfig(strip_punctuation=not args.keep_punctuation)
     report = evaluate(args.candidates, args.references, config)
+    if args.x100:
+        report = report.x100()
     if args.csv:
-        write_atomic(args.csv, [report.to_csv(x100=args.x100)])
+        write_atomic(args.csv, [report.to_csv()])
         _log(args, f"wrote per-example CSV to {args.csv}")
-    payload = report.as_dict(x100=args.x100)
+    payload = report.as_dict()
     summary = " ".join(f"{name}={score:.4f}"
                        for name, score in payload["corpus"].items())
     _log(args, f"corpus: {summary}")
@@ -258,6 +260,8 @@ def _cmd_analyze_genres(args: argparse.Namespace) -> dict[str, object]:
     captions = load_caption_map(args.captions)
     genres = load_genre_csv(args.genres)
     records = join_genres(captions, genres)
+    if not records:
+        raise EmptyInput(f"{args.captions}: no image id is in {args.genres}")
     distribution = genre_distribution(records, args.k, args.unit)
     write_atomic(args.out, [distribution.to_csv()])
     _log(args, f"wrote {len(distribution.phrases)} phrases x "
@@ -270,15 +274,15 @@ def _cmd_analyze_genres(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _cmd_analyze_lengths(args: argparse.Namespace) -> dict[str, object]:
-    captions = load_caption_map(args.captions)
-    stats = length_stats(list(captions.values()))
+    stats = length_stats([caption for _, caption, _
+                          in read_captions(args.captions)])
     _print(json.dumps(stats, ensure_ascii=False, indent=2))
     return {}
 
 
 def _read_test_ids(path: str) -> list[str]:
     if _opens_with_object(path):
-        return [image_id for _, image_id, _, split in read_captions(path)
+        return [image_id for image_id, _, split in read_captions(path)
                 if split in (None, "test")]
     with reading(path) as fh:
         return [line.strip() for line in fh if line.strip()]
@@ -289,7 +293,10 @@ def _cmd_baseline(args: argparse.Namespace) -> dict[str, object]:
     if any(r.split for r in records):
         records = [r for r in records if r.split == "train"]
     test_ids = _read_test_ids(args.ids)
-    pairs = frequency_baseline(records, test_ids)
+    try:
+        pairs = frequency_baseline(records, test_ids)
+    except EmptyInput as exc:
+        raise EmptyInput(f"{args.train}: {exc}") from None
     write_captions(args.out, ((image_id, caption, None)
                               for image_id, caption in pairs))
     _log(args, f"wrote {len(pairs)} baseline candidates to {args.out}")

@@ -240,6 +240,8 @@ def resolve_code(
     A code already in canonical form is its own store key, so it is parsed
     only when it misses and the parent chain is to be walked.
     """
+    # the guard must stay: store keys that do not parse are kept verbatim,
+    # so looking up any code as written would resolve a malformed "7(++1)"
     if _CANONICAL.fullmatch(code):
         text = store.lookup(code)
         if text is not None or not parent_fallback:

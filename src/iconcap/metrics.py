@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
-from .errors import DuplicateId, EmptyCorpus, MissingReference
+from .errors import EmptyCorpus, MissingReference
 from .jsonl import read_captions
 
 PUNCTUATION = set(".,:;!?'\"()-")
@@ -466,49 +466,35 @@ class EvalConfig:
 
 @dataclass
 class MetricReport:
-    """Per-example rows plus the corpus row, in natural scale."""
+    """Per-example rows plus the corpus row; natural scale until x100()."""
 
     corpus: dict[str, float]
     examples: list[dict[str, object]]
 
-    def _scaled(self, x100: bool) -> tuple[dict, list[dict]]:
-        if not x100:
-            return self.corpus, self.examples
-        corpus = {k: v * 100 for k, v in self.corpus.items()}
-        examples = [
-            {
-                k: (v * 100 if k in METRIC_NAMES else v)
-                for k, v in row.items()
-            }
-            for row in self.examples
-        ]
-        return corpus, examples
+    def x100(self) -> MetricReport:
+        """This report with every score multiplied by 100."""
+        return MetricReport({k: v * 100 for k, v in self.corpus.items()}, [
+            {k: v * 100 if k in METRIC_NAMES else v for k, v in row.items()}
+            for row in self.examples])
 
-    def as_dict(self, x100: bool = False) -> dict[str, object]:
-        corpus, examples = self._scaled(x100)
-        return {"corpus": corpus, "examples": examples}
+    def as_dict(self) -> dict[str, object]:
+        return {"corpus": self.corpus, "examples": self.examples}
 
-    def to_json(self, x100: bool = False) -> str:
-        return json.dumps(self.as_dict(x100), ensure_ascii=False, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), ensure_ascii=False, indent=2)
 
-    def to_csv(self, x100: bool = False) -> str:
-        _, examples = self._scaled(x100)
+    def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["image_id", *METRIC_NAMES])
-        for row in examples:
+        for row in self.examples:
             writer.writerow([row["image_id"], *(row[name] for name in METRIC_NAMES)])
         return buf.getvalue()
 
 
 def load_caption_map(path: str | Path) -> dict[str, str]:
     """Read a ``{"image_id", "caption"}`` JSONL file into an id-keyed map."""
-    captions: dict[str, str] = {}
-    for lineno, image_id, caption, _ in read_captions(path):
-        if image_id in captions:
-            raise DuplicateId(image_id, f"{path}: line {lineno}")
-        captions[image_id] = caption
-    return captions
+    return {image_id: caption for image_id, caption, _ in read_captions(path)}
 
 
 def evaluate_pairs(
@@ -573,12 +559,14 @@ def evaluate(
     """Score a candidate JSONL file against a reference JSONL file.
 
     Every candidate id must have a reference; reference ids without a
-    candidate are ignored.  Raises MissingReference (naming both files) /
-    DuplicateId.
+    candidate are ignored.  Raises MissingReference naming both files, and
+    EmptyCorpus naming the candidates file when it holds no caption.
     """
     config = config or EvalConfig()
     candidates = load_caption_map(candidates_path)
     references = load_caption_map(references_path)
+    if not candidates:
+        raise EmptyCorpus(f"{candidates_path}: evaluation over zero pairs")
     pairs = []
     for image_id in sorted(candidates):
         if image_id not in references:

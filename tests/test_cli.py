@@ -155,6 +155,17 @@ class TestExitCodes:
         assert max(len(line) for line in err.splitlines()) < 200
         assert not out.exists()
 
+    def test_eval_empty_candidates_names_file(self, tmp_path, capsys):
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text("\n")
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text('{"image_id": "a", "caption": "sea."}\n')
+        assert run(["eval", "--candidates", str(cands), "--references",
+                    str(refs), "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {cands}: evaluation over zero pairs" in captured.err
+        assert captured.out == ""
+
     def test_eval_missing_reference_names_both_files(self, tmp_path, capsys):
         cands = tmp_path / "cands.jsonl"
         cands.write_text('{"image_id": "a", "caption": "x"}\n'
@@ -284,6 +295,32 @@ class TestMalformedCaptions:
         assert run(["baseline", "--train", str(train), "--ids", str(ids),
                     "--out", str(out), "--quiet"]) == 1
         assert f"{train}: line 2: duplicate image id 'a'" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_jsonl_test_id_is_domain_error(self, tmp_path, capsys):
+        """Only the plain form of --ids may repeat an id."""
+        train = tmp_path / "train.jsonl"
+        train.write_text('{"image_id": "t", "caption": "sea."}\n')
+        ids = tmp_path / "ids.jsonl"
+        ids.write_text('{"image_id": "b"}\n{"image_id": "b"}\n')
+        out = tmp_path / "cands.jsonl"
+        assert run(["baseline", "--train", str(train), "--ids", str(ids),
+                    "--out", str(out), "--quiet"]) == 1
+        assert f"{ids}: line 2: duplicate image id 'b'" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_without_train_records_names_file(self, tmp_path, capsys):
+        train = tmp_path / "split.jsonl"
+        train.write_text('{"image_id": "a", "caption": "sea.", '
+                         '"split": "test"}\n')
+        ids = tmp_path / "ids.txt"
+        ids.write_text("a\n")
+        out = tmp_path / "cands.jsonl"
+        assert run(["baseline", "--train", str(train), "--ids", str(ids),
+                    "--out", str(out), "--quiet"]) == 1
+        assert f"error: {train}: no training captions" in \
             capsys.readouterr().err
         assert not out.exists()
 
@@ -902,7 +939,7 @@ class TestAnalyze:
             capsys.readouterr().err
         assert out.read_bytes() == first
 
-    def test_genres_empty_join_is_domain_error(self, tmp_path):
+    def test_genres_empty_join_is_domain_error(self, tmp_path, capsys):
         captions = tmp_path / "caps.jsonl"
         captions.write_text('{"image_id": "a", "caption": "sea."}\n')
         genres = tmp_path / "genres.csv"
@@ -911,6 +948,9 @@ class TestAnalyze:
         assert run(["analyze", "genres", "--captions", str(captions),
                     "--genres", str(genres), "--out", str(out),
                     "--quiet"]) == 1
+        assert f"error: {captions}: no image id is in {genres}" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvalPresentation:

@@ -6,10 +6,10 @@ import os
 import stat
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, find, given, settings
 from hypothesis import strategies as st
 
-from iconcap import IoFailure, SchemaViolation
+from iconcap import DuplicateId, IoFailure, SchemaViolation
 from iconcap.cli import run
 from iconcap.jsonl import (SPLITS, _echo, read_captions, write_atomic,
                            write_captions)
@@ -20,7 +20,9 @@ _DECODE = json.JSONDecoder().decode
 
 def reference_read_captions(path):
     """The reader as it was before the scanner fast path: every line goes
-    through ``JSONDecoder.decode``; kept as the oracle for the fast path."""
+    through ``JSONDecoder.decode``; kept as the oracle for the fast path.
+    Like the reader it skips a leading byte-order mark and rejects a
+    repeated id at its line."""
     def violation(lineno, message):
         return SchemaViolation(f"{path}: line {lineno}: {message}")
 
@@ -29,8 +31,9 @@ def reference_read_captions(path):
             return f"key {key!r} is missing"
         return f"key {key!r} must be {expected}, got {_echo(row[key])}"
 
+    seen = set()
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 try:
                     row = _DECODE(line)
@@ -56,7 +59,10 @@ def reference_read_captions(path):
                 if split is not None and split not in SPLITS:
                     raise violation(lineno, bad_key(
                         row, "split", "one of train, val, test"))
-                yield lineno, image_id, caption, split
+                if image_id in seen:
+                    raise DuplicateId(image_id, f"{path}: line {lineno}")
+                seen.add(image_id)
+                yield image_id, caption, split
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -69,7 +75,7 @@ def outcome(reader, path):
     try:
         for row in reader(path):
             rows.append(row)
-    except (SchemaViolation, IoFailure) as exc:
+    except (SchemaViolation, DuplicateId, IoFailure) as exc:
         return rows, type(exc), str(exc)
     return rows, None, None
 
@@ -82,6 +88,9 @@ SPECIALS = ['"', "\\", "\x00", "\x1f", "\x7f", "\b", "\f", "\n", "\r",
 text = st.text(st.characters(blacklist_categories=("Cs",))
                | st.sampled_from(SPECIALS), max_size=30)
 
+# a few ids that recur, "7" and 7 among them, so that files repeat ids
+image_ids = st.sampled_from(["a", "7", 7]) | text | st.integers()
+
 json_value = st.recursive(
     st.none() | st.booleans() | st.integers() | text
     | st.floats(allow_nan=True, allow_infinity=True),
@@ -92,7 +101,7 @@ json_value = st.recursive(
 
 
 valid_rows = st.fixed_dictionaries(
-    {"image_id": text | st.integers(), "caption": text},
+    {"image_id": image_ids, "caption": text},
     optional={"split": st.sampled_from(SPLITS)},
 )
 whitespace = st.sampled_from(["", "", " ", "\t", " \t"])
@@ -101,7 +110,7 @@ whitespace = st.sampled_from(["", "", " ", "\t", " \t"])
 @st.composite
 def caption_objects(draw):
     """A JSON object, most often a valid caption row."""
-    row = {"image_id": draw(text | st.integers()), "caption": draw(text)}
+    row = {"image_id": draw(image_ids), "caption": draw(text)}
     if draw(st.booleans()):
         row["split"] = draw(st.sampled_from(SPLITS))
     if not draw(st.integers(0, 3)):  # one member missing, extra or ill-typed
@@ -159,7 +168,21 @@ class TestReadCaptions:
     def test_rows_with_defaults_and_blank_lines(self, tmp_path):
         rows = _read(tmp_path, '\n{"image_id": "a", "caption": "sea."}\n'
                                '  \n{"image_id": 7, "split": "test"}\n')
-        assert rows == [(2, "a", "sea.", None), (4, "7", "", "test")]
+        assert rows == [("a", "sea.", None), ("7", "", "test")]
+
+    @pytest.mark.parametrize("text,line,ids", [
+        ('{"image_id": "a"}\n\n{"image_id": "b"}\n{"image_id": "a"}\n',
+         4, ["a", "b"]),
+        ('{"image_id": "7", "caption": "x"}\n{"image_id": 7}\n', 2, ["7"]),
+    ], ids=["after-blank-line", "integer-repeats-string"])
+    def test_repeated_id_names_file_and_line(self, tmp_path, text, line, ids):
+        path = tmp_path / "caps.jsonl"
+        path.write_text(text)
+        rows, error, message = outcome(read_captions, path)
+        assert [row[0] for row in rows] == ids
+        assert error is DuplicateId
+        # the first id read is the one that repeats
+        assert message == f"{path}: line {line}: duplicate image id {ids[0]!r}"
 
     @pytest.mark.parametrize("line,key", [
         ('{"image_id": null, "caption": "x"}', "image_id"),
@@ -214,6 +237,16 @@ class TestReadCaptions:
         assert outcome(read_captions, path) == \
             outcome(reference_read_captions, path)
 
+    def test_strategy_draws_repeated_ids(self, tmp_path):
+        """The oracle comparison covers files that a repeated id ends."""
+        path = tmp_path / "caps.jsonl"
+
+        def repeats(text):
+            path.write_bytes(text.encode("utf-8", "surrogatepass"))
+            return outcome(reference_read_captions, path)[1] is DuplicateId
+
+        find(caption_files(), repeats, settings=settings(database=None, derandomize=True))
+
     @pytest.mark.parametrize("text", [
         '{"image_id": "a", "caption": "x"}',
         ' {"image_id": "a"}\n',
@@ -225,6 +258,8 @@ class TestReadCaptions:
         '{"image_id": 1, "caption": "x", "n": [{"a": [1.5e3]}]}\n',
         '\n\r\n{"image_id": "a"\n',
         '{"image_id": "a", "caption": "\\ud800"}\r',
+        '{"image_id": "7"}\n\n{"image_id": 7}\n',
+        '\ufeff{"image_id": "a"}\n{"image_id": "a"}\n',
     ])
     def test_edge_lines_match_oracle(self, tmp_path, text):
         path = tmp_path / "caps.jsonl"

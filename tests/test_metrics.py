@@ -609,7 +609,7 @@ class TestEvaluate:
         assert set(payload["corpus"]) == {
             "bleu1", "bleu2", "bleu3", "bleu4", "meteor", "rouge_l", "cider",
         }
-        x100 = json.loads(report.to_json(x100=True))
+        x100 = json.loads(report.x100().to_json())
         assert x100["corpus"]["rouge_l"] == pytest.approx(
             payload["corpus"]["rouge_l"] * 100
         )
