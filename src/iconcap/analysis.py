@@ -18,6 +18,7 @@ import statistics
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .captions import CaptionRecord
 from .errors import DuplicateId, EmptyInput, SchemaViolation
@@ -25,8 +26,7 @@ from .jsonl import reading
 from .metrics import tokenize
 
 
-@dataclass(frozen=True)
-class GenreRecord:
+class GenreRecord(NamedTuple):
     image_id: str
     genre: str
     caption: str
@@ -188,9 +188,9 @@ def load_genre_csv(path: str | Path) -> dict[str, str]:
 def join_genres(
     captions: dict[str, str], genres: dict[str, str]
 ) -> list[GenreRecord]:
-    """Inner-join candidate captions with genre labels on image id."""
+    """Inner-join candidate captions with genre labels, in caption order."""
     return [
         GenreRecord(image_id, genres[image_id], caption)
-        for image_id, caption in sorted(captions.items())
+        for image_id, caption in captions.items()
         if image_id in genres
     ]

@@ -49,31 +49,36 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="write the run report JSON here instead of stderr/stdout")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress logs on stderr")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_integer, default=1,
                         help="accepted and ignored: every stage runs serially")
 
 
-def _count(text: str, minimum: int) -> int:
-    """``text`` as an integer >= ``minimum``, else a usage error (exit 2)."""
+def _integer(text: str, minimum: int | None = None) -> int:
+    """``text`` as an integer, else a usage error (exit 2).
+
+    With a ``minimum``, decimal digits >= it; else whatever ``int()`` reads.
+    The message shows at most 40 characters of ``text``.
+    """
     try:
         # int() refuses more digits than sys.get_int_max_str_digits()
-        value = int(text) if text.strip().isdecimal() else None
+        if minimum is None or text.strip().isdecimal():
+            value = int(text)
+            if minimum is None or value >= minimum:
+                return value
     except ValueError:
-        value = None
-    if value is None or value < minimum:
-        shown = repr(text) if len(text) <= 40 else \
-            f"{text[:20]!r}... ({len(text)} characters)"
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= {minimum}, got {shown}")
-    return value
+        pass
+    shown = repr(text) if len(text) <= 40 else \
+        f"{text[:20]!r}... ({len(text)} characters)"
+    bound = "" if minimum is None else f" >= {minimum}"
+    raise argparse.ArgumentTypeError(f"expected an integer{bound}, got {shown}")
 
 
 def _non_negative_int(text: str) -> int:
-    return _count(text, 0)
+    return _integer(text, 0)
 
 
 def _positive_int(text: str) -> int:
-    return _count(text, 1)
+    return _integer(text, 1)
 
 
 def _stoplist_token(text: str) -> str:
@@ -118,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="JSONL")
     p.add_argument("--export-dir", metavar="DIR",
                    help="also write train/val/test caption files here")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_integer, default=0,
                    help="seed of the split permutation (default 0)")
     _common_flags(p)
 

@@ -13,6 +13,9 @@ Any ``str.isspace`` character outside groups is ignored, so runs of one kind
 separated only by whitespace merge (``7 3A`` is ``73A``).  A group whose
 content starts with ``+`` is a key (the ``+`` is stripped); any other group
 is a qualifier.
+
+Correlates are looked up, and the hierarchy is walked, on canonical text
+(``serialize()``): a parent drops the last group, else one base character.
 """
 
 from __future__ import annotations
@@ -100,20 +103,9 @@ def parse_notation(raw: str) -> IconclassNotation:
 
 
 def parent(n: IconclassNotation) -> IconclassNotation | None:
-    """One step up the hierarchy; None at the root.
-
-    Keys are stripped first, then qualifiers, then the base is shortened one
-    character at a time (dropping a segment when it empties).
-    """
-    if n.keys:
-        return IconclassNotation(n.base, n.qualifiers, n.keys[:-1])
-    if n.qualifiers:
-        return IconclassNotation(n.base, n.qualifiers[:-1], n.keys)
-    last = n.base[-1]
-    if len(n.base) == 1 and len(last) == 1:
-        return None
-    base = n.base[:-1] if len(last) == 1 else n.base[:-1] + (last[:-1],)
-    return IconclassNotation(base, (), ())
+    """One step up the hierarchy; None at the root (see ``_parent_key``)."""
+    key = _parent_key(n.serialize())
+    return None if key is None else parse_notation(key)
 
 
 def ancestors(n: IconclassNotation) -> Iterator[IconclassNotation]:
@@ -202,14 +194,30 @@ _CANONICAL = re.compile(
 )
 
 
+def _key(code: str) -> str | None:
+    """The canonical text of ``code``; None when it does not parse."""
+    if _CANONICAL.fullmatch(code):
+        return code
+    try:
+        return parse_notation(code).serialize()
+    except MalformedNotation:
+        return None
+
+
 def _canonical(key: str) -> str:
     """Canonical form of a store key; unparseable keys kept verbatim."""
-    if _CANONICAL.fullmatch(key):
-        return key
-    try:
-        return parse_notation(key).serialize()
-    except MalformedNotation:
-        return key.strip()
+    return _key(key) or key.strip()
+
+
+def _parent_key(key: str) -> str | None:
+    """The canonical text one step up the hierarchy; None at the root.
+
+    Keys follow qualifiers, so dropping the last group strips keys first,
+    then qualifiers; after them the base loses one character at a time.
+    """
+    if key.endswith(")"):
+        return key[:key.rindex("(")]
+    return key[:-1] or None
 
 
 def correlate(
@@ -217,19 +225,8 @@ def correlate(
     store: CorrelateStore,
     parent_fallback: bool = False,
 ) -> str | None:
-    """Exact-match lookup of ``n``'s correlate; absence is a value.
-
-    With ``parent_fallback`` the parent chain is walked until a correlate is
-    found or the root is exhausted.
-    """
-    text = store.lookup(n.serialize())
-    if text is not None or not parent_fallback:
-        return text
-    for node in ancestors(n):
-        text = store.lookup(node.serialize())
-        if text is not None:
-            return text
-    return None
+    """``n``'s correlate, as ``resolve_code`` finds it; absence is a value."""
+    return resolve_code(n.serialize(), store, parent_fallback)
 
 
 def resolve_code(
@@ -237,20 +234,17 @@ def resolve_code(
 ) -> str | None:
     """The code's correlate; None when it is malformed or misses the store.
 
-    A code already in canonical form is its own store key, so it is parsed
-    only when it misses and the parent chain is to be walked.
+    The code, then with ``parent_fallback`` each ancestor, is looked up by
+    canonical text only: store keys that do not parse are kept verbatim, so
+    looking up a code as written would resolve a malformed ``7(++1)``.
     """
-    # the guard must stay: store keys that do not parse are kept verbatim,
-    # so looking up any code as written would resolve a malformed "7(++1)"
-    if _CANONICAL.fullmatch(code):
-        text = store.lookup(code)
+    key = _key(code)
+    while key is not None:
+        text = store.lookup(key)
         if text is not None or not parent_fallback:
             return text
-    try:
-        notation = parse_notation(code)
-    except MalformedNotation:
-        return None
-    return correlate(notation, store, parent_fallback=parent_fallback)
+        key = _parent_key(key)
+    return None
 
 
 @dataclass(frozen=True)

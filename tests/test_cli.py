@@ -133,7 +133,21 @@ class TestExitCodes:
         assert "expected an integer >= 0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag,minimum", [("--val", 0), ("--k", 1)])
+    @pytest.mark.parametrize("text", ["-3", "+7", " 1_0 ", "\u0663", "0"])
+    def test_seed_and_jobs_take_what_int_reads(self, tmp_path, text):
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"image_id": "a", "caption": "a."}\n')
+        report = tmp_path / "report.json"
+        assert run(["split", "--in", str(records), "--val", "0", "--test",
+                    "0", "--out", str(tmp_path / "split.jsonl"), "--seed",
+                    text, "--jobs", text, "--report", str(report),
+                    "--quiet"]) == 0
+        config = json.loads(report.read_text())["config"]
+        assert config["seed"] == config["jobs"] == int(text)
+
+    @pytest.mark.parametrize("flag,minimum", [("--val", 0), ("--k", 1),
+                                              ("--seed", None),
+                                              ("--jobs", None)])
     def test_count_past_int_digit_limit_is_usage_error(self, tmp_path,
                                                        capsys, flag, minimum):
         # 5,000 digits is past int()'s default limit of 4,300
@@ -142,14 +156,18 @@ class TestExitCodes:
         genres = tmp_path / "genres.csv"
         genres.write_text("image_id,genre\na,marine\n")
         out = tmp_path / "out"
+        split = ["split", "--in", str(captions), "--test", "0"]
         argv = {
-            "--val": ["split", "--in", str(captions), "--test", "0"],
+            "--val": split,
             "--k": ["analyze", "genres", "--captions", str(captions),
                     "--genres", str(genres)],
+            "--seed": [*split, "--val", "0"],
+            "--jobs": [*split, "--val", "0"],
         }[flag]
         assert run([*argv, flag, "1" * 5000, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"{flag}: expected an integer >= {minimum}, got " \
+        bound = "" if minimum is None else f" >= {minimum}"
+        assert f"{flag}: expected an integer{bound}, got " \
             f"'{'1' * 20}'... (5000 characters)" in err
         assert "Traceback" not in err and "_int" not in err
         assert max(len(line) for line in err.splitlines()) < 200

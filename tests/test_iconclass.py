@@ -325,13 +325,73 @@ def test_canonical_text_serializes_unchanged(s):
         assert iconclass._canonical(s) == s
 
 
+def reference_parent(n):
+    """The segment walk parent replaced: the oracle for the text rule.
+
+    Keys are stripped first, then qualifiers, then the base is shortened one
+    character at a time (dropping a segment when it empties).
+    """
+    if n.keys:
+        return IconclassNotation(n.base, n.qualifiers, n.keys[:-1])
+    if n.qualifiers:
+        return IconclassNotation(n.base, n.qualifiers[:-1], n.keys)
+    last = n.base[-1]
+    if len(n.base) == 1 and len(last) == 1:
+        return None
+    base = n.base[:-1] if len(last) == 1 else n.base[:-1] + (last[:-1],)
+    return IconclassNotation(base, (), ())
+
+
+def reference_chain(n):
+    """``n`` and its ancestors by the segment walk, as notations."""
+    chain = []
+    while n is not None:
+        chain.append(n)
+        n = reference_parent(n)
+    return chain
+
+
+def reference_correlate(n, store, parent_fallback):
+    """Look up ``n``, then each segment-walk ancestor while falling back."""
+    for node in reference_chain(n) if parent_fallback else [n]:
+        text = store.lookup(node.serialize())
+        if text is not None:
+            return text
+    return None
+
+
 def reference_resolve(code, store, parent_fallback):
-    """Parse, then look up; the oracle for iconclass.resolve_code."""
+    """Parse, then walk segments; the oracle for iconclass.resolve_code."""
     try:
         notation = parse_notation(code)
     except MalformedNotation:
         return None
-    return correlate(notation, store, parent_fallback=parent_fallback)
+    return reference_correlate(notation, store, parent_fallback)
+
+
+@given(notation_text)
+@example("7")
+@example("7(+1)")
+@example("25G4(ROSE)(+1)")
+@example("7\u0663A")
+@example("73(a b)(+x y)")
+def test_ancestors_match_segment_walk(s):
+    n = parse_notation(s)
+    assert [node.serialize() for node in [n, *ancestors(n)]] == \
+        [node.serialize() for node in reference_chain(n)]
+
+
+def test_resolve_code_walks_canonical_text_unparsed(monkeypatch):
+    # a canonical code and its ancestors are store keys as they stand
+    def refuse(raw):
+        raise AssertionError(f"parsed {raw!r}")
+
+    store = CorrelateStore.from_pairs({"7": "bible", "73A": "sea"})
+    monkeypatch.setattr(iconclass, "parse_notation", refuse)
+    for code, fallback, text in [("73A(ROSE)(+1)", True, "sea"),
+                                 ("73A(ROSE)(+1)", False, None),
+                                 ("79", True, "bible"), ("8", True, None)]:
+        assert iconclass.resolve_code(code, store, fallback) == text
 
 
 @settings(max_examples=500)
@@ -348,7 +408,7 @@ def test_resolve_code_matches_parse_then_correlate(code, data):
     except MalformedNotation:
         pass
     else:
-        chain = [notation, *ancestors(notation)]
+        chain = reference_chain(notation)
         keys += [n.serialize() for n in data.draw(
             st.lists(st.sampled_from(chain), max_size=3))]
     store = CorrelateStore.from_pairs({key: f"<{key}>" for key in keys})
