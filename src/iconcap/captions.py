@@ -29,7 +29,7 @@ from .iconclass import AnnotationRecord, CorrelateStore, resolve_code
 from .jsonl import read_captions, write_captions
 
 
-@dataclass
+@dataclass(slots=True)
 class CaptionRecord:
     image_id: str
     raw_description: str
@@ -222,15 +222,18 @@ def build_dataset(
     when all its correlates' pieces are closed, by joining the pieces and
     running steps 5-6 and the fixed-point re-runs; otherwise by
     ``clean_description`` on the raw text.  The caption always equals
-    ``clean_description(raw, cfg)``.  ``jobs`` is accepted and ignored (the
-    build is serial).
+    ``clean_description(raw, cfg)``.  Records with one raw description
+    share one string for it.  ``jobs`` is accepted and ignored (the build
+    is serial).
     """
     cfg = cfg or CleaningConfig()
     report = BuildReport(input=len(annotations))
     resolved: dict[str, str | None] = {}
     # correlate -> its steps 1-4 piece, None when the piece is open
     pieces: dict[str, str | None] = {}
-    cleaned: dict[str, str] = {}
+    # raw description -> (that raw text, its caption): every record with
+    # one raw description shares the memo's one string
+    cleaned: dict[str, tuple[str, str]] = {}
     records: list[CaptionRecord] = []
     for record in annotations:
         texts: list[str] = []
@@ -250,14 +253,15 @@ def build_dataset(
             report.dropped_empty += 1
             continue
         raw = ", ".join(texts)
-        clean = cleaned.get(raw)
-        if clean is None:
+        memo = cleaned.get(raw)
+        if memo is None:
             stripped = [pieces[text] for text in texts]
             if None in stripped:
                 clean = clean_description(raw, cfg)
             else:
                 clean = _settle(_finish_pass(", ".join(stripped), cfg), cfg)
-            cleaned[raw] = clean
+            memo = cleaned[raw] = (raw, clean)
+        raw, clean = memo
         if not clean:
             report.dropped_empty += 1
             continue

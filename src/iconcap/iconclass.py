@@ -20,6 +20,7 @@ Correlates are looked up, and the hierarchy is walked, on canonical text
 
 from __future__ import annotations
 
+import gc
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -247,7 +248,7 @@ def resolve_code(
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotationRecord:
     """One image and its notation codes, in source order."""
 
@@ -261,18 +262,29 @@ def load_annotations(path: str | Path) -> list[AnnotationRecord]:
     Records with empty code arrays are retained (the caption builder drops
     them later).  Raises SchemaViolation naming the offending key when a
     value is not an array of strings.
+
+    The cyclic garbage collector is paused for the load, which builds many
+    long-lived objects and no cycles, and is re-enabled afterwards only if
+    it was enabled on entry, also when the load fails.  The pause is
+    process-wide: other threads see the collector disabled meanwhile.
     """
-    data = read_json_object(path, "annotations")
-    records = []
-    for image_id, codes in data.items():
-        if not isinstance(codes, list):
-            raise SchemaViolation(
-                f"{path}: value for {image_id!r} is not an array"
-            )
-        for code in codes:
-            if not isinstance(code, str):
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        data = read_json_object(path, "annotations")
+        records = []
+        for image_id, codes in data.items():
+            if not isinstance(codes, list):
                 raise SchemaViolation(
-                    f"{path}: non-string code under {image_id!r}"
+                    f"{path}: value for {image_id!r} is not an array"
                 )
-        records.append(AnnotationRecord(image_id, tuple(codes)))
-    return records
+            for code in codes:
+                if not isinstance(code, str):
+                    raise SchemaViolation(
+                        f"{path}: non-string code under {image_id!r}"
+                    )
+            records.append(AnnotationRecord(image_id, tuple(codes)))
+        return records
+    finally:
+        if was_enabled:
+            gc.enable()

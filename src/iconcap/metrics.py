@@ -299,6 +299,8 @@ def _align(
     taken = [-1] * len(candidate)
     free = (1 << len(reference)) - 1
     for cand_keys, ref_keys in ((candidate, reference), (cand_stems, ref_stems)):
+        if not free or -1 not in taken:
+            break  # no free reference token or no untaken candidate token
         masks = _positions(ref_keys)
         for i, key in enumerate(cand_keys):
             if taken[i] < 0:

@@ -391,10 +391,28 @@ class TestBuildDataset:
         assert report.unresolved_codes == 6
         assert report.dropped_empty == 1
 
+    def test_records_share_one_raw_description_string(self):
+        annotations = [AnnotationRecord(f"{i}.jpg", ("73", "11F"))
+                       for i in range(3)]
+        records, _ = build_dataset(annotations, STORE)
+        raws = [r.raw_description for r in records]
+        assert raws[0] == ", ".join(STORE.lookup(c) for c in ("73", "11F"))
+        assert all(raw is raws[0] for raw in raws)
+
     def test_parallel_matches_serial(self):
         serial, _ = build_dataset(self._annotations(), STORE, jobs=1)
         parallel, _ = build_dataset(self._annotations(), STORE, jobs=2)
         assert serial == parallel
+
+
+@pytest.mark.parametrize("record", [
+    AnnotationRecord("a.jpg", ("73", "11F")),
+    CaptionRecord("a.jpg", "x, y", "x, y.", "train"),
+], ids=["AnnotationRecord", "CaptionRecord"])
+def test_record_classes_hold_no_instance_dict(record):
+    assert not hasattr(record, "__dict__")
+    clone = copy.deepcopy(record)
+    assert clone == record and clone is not record
 
 
 def _records(ids):

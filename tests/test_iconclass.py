@@ -1,5 +1,7 @@
 """Notation parsing, hierarchy navigation, and correlate lookup."""
 
+import contextlib
+import gc
 import json
 
 import pytest
@@ -265,6 +267,45 @@ class TestLoadAnnotations:
         path.write_text('{"a.jpg": {"x": 1, "x": 2}}', encoding="utf-8")
         with pytest.raises(SchemaViolation, match="key 'x' repeats"):
             load_annotations(path)
+
+
+LOAD_OUTCOMES = {
+    "loaded": ('{"a.jpg": ["73"]}', None),
+    "non_array_value": ('{"a.jpg": 5}', SchemaViolation),
+    "repeated_key": ('{"a.jpg": ["73"], "a.jpg": ["11F"]}', SchemaViolation),
+    "missing_file": (None, IoFailure),
+}
+
+
+@pytest.fixture
+def collector_state():
+    """Restore the collector's state on entry after the test."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("text, error", LOAD_OUTCOMES.values(),
+                         ids=LOAD_OUTCOMES)
+@pytest.mark.parametrize("enabled", [True, False],
+                         ids=["enabled", "disabled"])
+def test_load_annotations_restores_the_collector(
+        tmp_path, collector_state, text, error, enabled):
+    """The collector is paused for the load only: a caller finds it as it
+    left it, whether the load succeeds or fails."""
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    path = tmp_path / "ann.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) if error else contextlib.nullcontext():
+        load_annotations(path)
+    assert gc.isenabled() is enabled
 
 
 notation_text = st.from_regex(
