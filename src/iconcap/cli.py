@@ -9,12 +9,19 @@ one envelope holding the tool version and the resolved configuration, to
 writes no report.  Every stdout document leaves through ``_print``.
 Every subcommand takes ``--report``, ``--quiet`` and ``--jobs``; the rest
 of its flags are its own (``split --seed`` holds the only randomness).
+Two outputs of one run that name the same file (after symlinks are
+resolved) are a usage error, raised before any input is read; a target
+that exists but is not a regular file, such as ``/dev/null``, is exempt.
+The handler and the report write run with the cyclic garbage collector
+paused (``collector_paused``), and the collector's state on entry is
+restored however the run ends; the pause is process-wide.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -39,7 +46,12 @@ from .captions import (
     write_records_jsonl,
 )
 from .errors import EmptyInput, IconcapError, IoFailure
-from .iconclass import CorrelateStore, load_annotations, parse_notation
+from .iconclass import (
+    CorrelateStore,
+    collector_paused,
+    load_annotations,
+    parse_notation,
+)
 from .jsonl import SPLITS, read_captions, reading, write_atomic, write_captions
 from .metrics import EvalConfig, evaluate, load_caption_map
 
@@ -308,6 +320,30 @@ def _cmd_baseline(args: argparse.Namespace) -> dict[str, object]:
     return {"candidates": len(pairs)}
 
 
+def _shared_output(args: argparse.Namespace) -> str | None:
+    """A message if two outputs of the run name one file, else None.
+
+    A later write would replace an earlier one whole.  A target that
+    exists but is not a regular file is written in place by
+    ``write_atomic``, so outputs may share it.
+    """
+    outputs = [(f"--{name}", getattr(args, name))
+               for name in ("out", "csv", "report") if getattr(args, name, None)]
+    if getattr(args, "export_dir", None):
+        outputs += [("--export-dir", os.path.join(args.export_dir,
+                                                  f"{split}.jsonl"))
+                    for split in SPLITS]
+    seen: dict[str, str] = {}
+    for flag, path in outputs:
+        if os.path.exists(path) and not os.path.isfile(path):
+            continue
+        target = os.path.realpath(path)
+        if target in seen:
+            return f"{seen[target]} and {flag} name the same file: {path}"
+        seen[target] = flag
+    return None
+
+
 _HANDLERS = {
     ("parse",): _cmd_parse,
     ("build",): _cmd_build,
@@ -328,10 +364,16 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     key = (args.command,) if args.command != "analyze" \
         else (args.command, args.analysis)
+    shared = _shared_output(args)
+    if shared:
+        print(f"iconcap {args.command}: error: {shared}", file=sys.stderr)
+        return 2
     try:
-        payload = _HANDLERS[key](args)
-        _emit_report(args, payload,
-                     sys.stdout if args.command == "eval" else sys.stderr)
+        # a run builds many long-lived records and few cycles to free
+        with collector_paused():
+            payload = _HANDLERS[key](args)
+            _emit_report(args, payload,
+                         sys.stdout if args.command == "eval" else sys.stderr)
     except (IconcapError, OSError) as exc:
         print(f"iconcap {args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -256,6 +256,28 @@ class AnnotationRecord:
     codes: tuple[str, ...]
 
 
+class collector_paused:
+    """Pause the cyclic garbage collector over a ``with`` body.
+
+    For code that builds many long-lived objects and no cycles: the
+    collector would walk them again and again and free none of them.  On
+    leaving, also by an exception, it is re-enabled only if it was enabled
+    on entry.  The pause is process-wide: other threads see the collector
+    disabled meanwhile.
+    """
+
+    def __enter__(self) -> None:
+        self._was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info: object) -> None:
+        # nothing is allocated after this, so the collection owed for the
+        # body runs at the caller's next allocation, once the caller has
+        # dropped what it does not keep
+        if self._was_enabled:
+            gc.enable()
+
+
 def load_annotations(path: str | Path) -> list[AnnotationRecord]:
     """Read the annotation JSON: an object of image filename -> code array.
 
@@ -263,14 +285,11 @@ def load_annotations(path: str | Path) -> list[AnnotationRecord]:
     them later).  Raises SchemaViolation naming the offending key when a
     value is not an array of strings.
 
-    The cyclic garbage collector is paused for the load, which builds many
-    long-lived objects and no cycles, and is re-enabled afterwards only if
-    it was enabled on entry, also when the load fails.  The pause is
-    process-wide: other threads see the collector disabled meanwhile.
+    The load runs under ``collector_paused``, a process-wide pause, as it
+    builds one long-lived record per image and no cycles; the collector is
+    restored also when the load fails.
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         data = read_json_object(path, "annotations")
         records = []
         for image_id, codes in data.items():
@@ -285,6 +304,3 @@ def load_annotations(path: str | Path) -> list[AnnotationRecord]:
                     )
             records.append(AnnotationRecord(image_id, tuple(codes)))
         return records
-    finally:
-        if was_enabled:
-            gc.enable()

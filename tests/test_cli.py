@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -1019,3 +1020,153 @@ class TestEvalPresentation:
                     "--quiet"]) == 1
         assert "cannot write" in capsys.readouterr().err
         assert not path.exists()
+
+
+def _pause_argv(tmp_path, outcome):
+    """Arguments of a run that ends with ``outcome``, and its exit code."""
+    ann, tsv = write_corpus(tmp_path, n_images=20)
+    build = ["build", "--annotations", str(ann), "--correlates", str(tsv),
+             "--out", str(tmp_path / "records.jsonl"), "--quiet"]
+    return {
+        "exit0": (build, 0),
+        "missing_input": ([*build[:2], str(tmp_path / "missing.json"),
+                           *build[3:]], 1),
+        "bad_flag": ([*build, "--bogus"], 2),
+        "shared_output": ([*build, "--report",
+                           str(tmp_path / "records.jsonl")], 2),
+    }[outcome]
+
+
+class TestCollectorPause:
+    """Every run pauses the cyclic collector and leaves it as it found it."""
+
+    @pytest.mark.parametrize("outcome", ["exit0", "missing_input",
+                                         "bad_flag", "shared_output"])
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    def test_run_restores_the_collector(self, tmp_path, capsys,
+                                        collector_state, outcome, enabled):
+        argv, status = _pause_argv(tmp_path, outcome)
+        (gc.enable if enabled else gc.disable)()
+        assert run(argv) == status
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    def test_handler_error_propagates_and_restores(
+            self, monkeypatch, collector_state, enabled):
+        seen = []
+
+        def fail(args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("handler failed")
+
+        monkeypatch.setitem(cli._HANDLERS, ("parse",), fail)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="handler failed"):
+            run(["parse", "73"])
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_while_build_runs(self, tmp_path, monkeypatch,
+                                            collector_state):
+        ann, tsv = write_corpus(tmp_path, n_images=500)
+        starts = []
+
+        def on_collection(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        build = cli._HANDLERS[("build",)]
+
+        def watched(args):
+            gc.callbacks.append(on_collection)
+            try:
+                return build(args)
+            finally:
+                gc.callbacks.remove(on_collection)
+
+        monkeypatch.setitem(cli._HANDLERS, ("build",), watched)
+        gc.enable()
+        assert run(["build", "--annotations", str(ann), "--correlates",
+                    str(tsv), "--out", str(tmp_path / "records.jsonl"),
+                    "--quiet"]) == 0
+        assert starts == []
+
+    def test_garbage_left_does_not_grow_with_input(self, tmp_path, capsys,
+                                                   collector_state):
+        """What the pause leaves for the collector is the same for 20 and
+        400 images: no cycle is built per record."""
+        found = []
+        for n_images in (20, 400):
+            corpus = tmp_path / str(n_images)
+            corpus.mkdir()
+            ann, tsv = write_corpus(corpus, n_images)
+            argv = ["build", "--annotations", str(ann), "--correlates",
+                    str(tsv), "--out", str(corpus / "records.jsonl"),
+                    "--quiet"]
+            gc.collect()
+            gc.disable()
+            assert run(argv) == 0
+            found.append(gc.collect())
+        assert found[0] == found[1]
+
+
+# case: (command, flags appended to its successful run, the clashing flags,
+# an alias symlinked to split.jsonl or None); names are under tmp_path
+_SHARED_OUTPUTS = {
+    "build_out_report": ("build", ["--report", "records.jsonl"],
+                         ("--out", "--report"), None),
+    "split_out_report": ("split", ["--report", "split.jsonl"],
+                         ("--out", "--report"), None),
+    "genres_out_report": ("genres", ["--report", "dist.csv"],
+                          ("--out", "--report"), None),
+    "baseline_out_report": ("baseline", ["--report", "cands.jsonl"],
+                            ("--out", "--report"), None),
+    "eval_csv_report": ("eval", ["--csv", "eval.csv", "--report", "eval.csv"],
+                        ("--csv", "--report"), None),
+    **{f"split_out_{split}": ("split", ["--out", f"splits/{split}.jsonl",
+                                        "--export-dir", "splits"],
+                              ("--out", "--export-dir"), None)
+       for split in ("train", "val", "test")},
+    "split_report_dotdot": ("split", ["--report", "splits/../split.jsonl"],
+                            ("--out", "--report"), None),
+    "split_report_symlink": ("split", ["--report", "alias.jsonl"],
+                             ("--out", "--report"), "alias.jsonl"),
+}
+
+
+class TestSharedOutput:
+    @pytest.mark.parametrize("command, extra, flags, alias",
+                             _SHARED_OUTPUTS.values(), ids=_SHARED_OUTPUTS)
+    def test_two_outputs_naming_one_file_is_usage_error(
+            self, tmp_path, capsys, command, extra, flags, alias):
+        """Exit 2 naming both flags; every existing file is left as it
+        was."""
+        argv = _envelope_argv(tmp_path, command)
+        (tmp_path / "splits").mkdir()
+        for flag, name in zip(extra[::2], extra[1::2]):
+            path = tmp_path / name
+            if flag != "--export-dir" and name != alias and not path.exists():
+                path.write_bytes(b"old\n")
+        if alias:
+            (tmp_path / "split.jsonl").write_bytes(b"old\n")
+            (tmp_path / alias).symlink_to(tmp_path / "split.jsonl")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*")
+                  if p.is_file()}
+        capsys.readouterr()
+        argv += [name if name.startswith("--") else str(tmp_path / name)
+                 for name in extra]
+        assert run([*argv, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"{flags[0]} and {flags[1]} name the same file" in err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+                if p.is_file()} == before
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull),
+                        reason="no null device")
+    def test_outputs_may_share_a_non_regular_file(self, tmp_path, capsys):
+        """The null device is written in place, so two outputs may name it."""
+        argv = _envelope_argv(tmp_path, "split")
+        assert run([*argv, "--out", os.devnull, "--report", os.devnull,
+                    "--quiet"]) == 0

@@ -277,17 +277,6 @@ LOAD_OUTCOMES = {
 }
 
 
-@pytest.fixture
-def collector_state():
-    """Restore the collector's state on entry after the test."""
-    was_enabled = gc.isenabled()
-    yield
-    if was_enabled:
-        gc.enable()
-    else:
-        gc.disable()
-
-
 @pytest.mark.parametrize("text, error", LOAD_OUTCOMES.values(),
                          ids=LOAD_OUTCOMES)
 @pytest.mark.parametrize("enabled", [True, False],
@@ -306,6 +295,30 @@ def test_load_annotations_restores_the_collector(
     with pytest.raises(error) if error else contextlib.nullcontext():
         load_annotations(path)
     assert gc.isenabled() is enabled
+
+
+def test_load_annotations_starts_no_collection(tmp_path, collector_state):
+    """Nothing is allocated once the collector resumes, so the collection
+    owed for the load runs at the caller's next allocation, after the
+    caller has dropped what it does not keep, not inside the call over
+    every record."""
+    path = tmp_path / "ann.json"
+    path.write_text(json.dumps({f"{n}.jpg": ["73"] for n in range(2000)}),
+                    encoding="utf-8")
+    starts = []
+
+    def on_collection(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.enable()
+    gc.callbacks.append(on_collection)
+    try:
+        records = load_annotations(path)
+    finally:
+        gc.callbacks.remove(on_collection)
+    assert len(records) == 2000
+    assert starts == []
 
 
 notation_text = st.from_regex(
