@@ -329,11 +329,19 @@ def export_jsonl(
     return len(selected)
 
 
-def write_records_jsonl(records: list[CaptionRecord], path: str | Path) -> int:
-    """Write full records (with split when set) sorted by id."""
+def write_records_jsonl(records: list[CaptionRecord], path: str | Path,
+                        export_dir: str | Path | None = None) -> int:
+    """Write full records (with split when set) sorted by id.
+
+    With ``export_dir``, also write each split's ``{"image_id",
+    "caption"}`` lines to ``<export_dir>/<split>.jsonl`` in the same pass,
+    the bytes ``export_jsonl`` writes for that split; all four files are
+    replaced together.
+    """
     ordered = sorted(records, key=_BY_ID)
     write_captions(
-        path, ((r.image_id, r.clean_description, r.split) for r in ordered)
+        path, ((r.image_id, r.clean_description, r.split) for r in ordered),
+        export_dir,
     )
     return len(ordered)
 

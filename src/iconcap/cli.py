@@ -41,7 +41,6 @@ from .captions import (
     SplitConfig,
     assign_splits,
     build_dataset,
-    export_jsonl,
     read_records_jsonl,
     write_records_jsonl,
 )
@@ -245,16 +244,19 @@ def _cmd_build(args: argparse.Namespace) -> dict[str, object]:
 def _cmd_split(args: argparse.Namespace) -> dict[str, object]:
     cfg = SplitConfig(seed=args.seed, n_val=args.val, n_test=args.test)
     records = assign_splits(read_records_jsonl(args.infile), cfg)
-    write_records_jsonl(records, args.out)
-    _log(args, f"wrote {len(records)} split records to {args.out}")
     if args.export_dir:
-        out_dir = Path(args.export_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for split in SPLITS:
-            count = export_jsonl(records, out_dir / f"{split}.jsonl", split)
-            _log(args, f"  {split}: {count}")
+        try:
+            os.makedirs(args.export_dir, exist_ok=True)
+        except OSError as exc:
+            raise IoFailure(f"cannot create export directory "
+                            f"{args.export_dir}: {exc}") from exc
+    write_records_jsonl(records, args.out, args.export_dir)
+    _log(args, f"wrote {len(records)} split records to {args.out}")
     tally = Counter(r.split for r in records)
     counts = {s: tally[s] for s in SPLITS}
+    if args.export_dir:
+        for split in SPLITS:
+            _log(args, f"  {split}: {counts[split]}")
     return {"splits": counts}
 
 

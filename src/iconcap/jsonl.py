@@ -22,7 +22,15 @@ written as they are (only ``"``, ``\\`` and control characters escaped).
 
 Every file the package reads goes through :func:`reading`, so a failed
 read is an IoFailure naming the file, and every file it writes through
-:func:`write_atomic`, so a failed run never leaves a truncated file.
+:func:`_staged`, so a failed run never leaves a truncated file.
+:func:`write_atomic` is its one-file case.  ``split``'s four files (its
+records and, with an export directory, one caption file per split) are
+staged together by :func:`write_captions` and replaced only after all
+four are written, so a failed write leaves all four as they were.  That
+does not cover a crash between two renames, which leaves some of the four
+replaced; nothing is ``fsync``ed; a target that is not a regular file is
+written in place as the run goes; and the ``--report`` of any subcommand
+is still replaced on its own, after the other outputs.
 """
 
 from __future__ import annotations
@@ -173,52 +181,98 @@ def read_captions(path: str | Path) -> Iterator[CaptionRow]:
             yield image_id, caption, split
 
 
-def write_captions(path: str | Path, rows: Iterable[CaptionRow]) -> None:
-    """Write ``(image_id, caption, split)`` rows, omitting an unset split."""
-    def lines() -> Iterator[str]:
-        for image_id, caption, split in rows:
-            if split is None:
-                yield (f'{{"image_id": {_ENCODE(image_id)}, '
-                       f'"caption": {_ENCODE(caption)}}}\n')
-            else:
-                yield (f'{{"image_id": {_ENCODE(image_id)}, '
-                       f'"caption": {_ENCODE(caption)}, '
-                       f'"split": {_ENCODE(split)}}}\n')
+def write_captions(path: str | Path, rows: Iterable[CaptionRow],
+                   export_dir: str | Path | None = None) -> None:
+    """Write ``(image_id, caption, split)`` rows, omitting an unset split.
 
-    write_atomic(path, lines())
+    With ``export_dir``, each row whose split is set is also written
+    without it to ``<export_dir>/<split>.jsonl``: each row is encoded once,
+    and the four files are replaced together (see :func:`_staged`).
+    """
+    targets = [path]
+    if export_dir is not None:
+        targets += [os.path.join(export_dir, f"{split}.jsonl")
+                    for split in SPLITS]
+    with _staged(targets) as streams:
+        write = streams[0].write
+        exports = {split: fh.write for split, fh in zip(SPLITS, streams[1:])}
+        for image_id, caption, split in rows:
+            head = (f'{{"image_id": {_ENCODE(image_id)}, '
+                    f'"caption": {_ENCODE(caption)}')
+            if split is None:
+                write(head + "}\n")
+                continue
+            # path takes the row first, so an unencodable row fails there
+            write(f'{head}, "split": {_ENCODE(split)}}}\n')
+            export = exports.get(split)
+            if export is not None:
+                export(head + "}\n")
 
 
 def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
-    """Stream ``chunks`` to ``path`` as UTF-8, replacing the file whole.
+    """Stream ``chunks`` to ``path`` as UTF-8, replacing the file whole:
+    the one-file case of :func:`_staged`.  Raises IoFailure when the text
+    cannot be written or encoded."""
+    with _staged([path]) as (fh,):
+        fh.writelines(chunks)
 
-    The text goes to a temporary file beside the target, which then
-    replaces it; on any failure the temporary file is removed and the old
-    file is left as it was.  A symlink stays a symlink and the file it
-    points to is replaced.  An existing target that is not a regular file,
-    such as a FIFO or a terminal, is written in place.  Raises IoFailure
-    when the text cannot be written or encoded.
+
+@contextlib.contextmanager
+def _staged(paths: list[str | Path]) -> Iterator[list[TextIO]]:
+    """Open a UTF-8 text stream per path for the block; replace them together.
+
+    Each regular target is written to a temporary file beside it; a
+    symlink stays a symlink and the file it points to is replaced.  An
+    existing target that is not a regular file, such as a FIFO or a
+    terminal, is opened in place and written as the block runs.  After the
+    block every stream is closed, each temporary file takes the mode of
+    the file it replaces, and then each is renamed over its target.  On a
+    failure before the first rename no target is replaced; on any failure
+    every temporary file left is removed.  Nothing is ``fsync``ed, and a
+    crash between two renames leaves some targets replaced.
+
+    An OSError or UnicodeEncodeError becomes ``IoFailure("cannot write
+    <path>: ...")`` naming the path being opened, closed or replaced, or
+    the first path for an error raised in the block.
     """
+    streams: list[TextIO] = []
+    staged: list[tuple[str | Path, str, str, int | None]] = []
+    renamed = 0
+    path = paths[0]  # the target of the step under way, for the message
     try:
-        mode = os.stat(path).st_mode
-    except OSError:
-        mode = None
-    try:
-        if mode is not None and not stat.S_ISREG(mode):
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
-            return
-        target = os.path.realpath(path)
-        directory, name = os.path.split(target)
-        tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
         try:
-            with open(tmp, "x", encoding="utf-8") as fh:
-                fh.writelines(chunks)
-            if mode is not None:
-                os.chmod(tmp, stat.S_IMODE(mode))
-            os.replace(tmp, target)
+            for path in paths:
+                try:
+                    mode = os.stat(path).st_mode
+                except OSError:
+                    mode = None
+                if mode is not None and not stat.S_ISREG(mode):
+                    streams.append(open(path, "w", encoding="utf-8"))
+                    continue
+                target = os.path.realpath(path)
+                directory, name = os.path.split(target)
+                tmp = os.path.join(directory,
+                                   f".{name}.{os.urandom(4).hex()}.tmp")
+                streams.append(open(tmp, "x", encoding="utf-8"))
+                staged.append((path, tmp, target, mode))
+            path = paths[0]
+            yield streams
+            for path, fh in zip(paths, streams):
+                fh.close()
+            # every mode before any rename, so a failed chmod replaces nothing
+            for path, tmp, _, mode in staged:
+                if mode is not None:
+                    os.chmod(tmp, stat.S_IMODE(mode))
+            for path, tmp, target, _ in staged:
+                os.replace(tmp, target)
+                renamed += 1
         except BaseException:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
+            for fh in streams:
+                with contextlib.suppress(OSError, UnicodeEncodeError):
+                    fh.close()
+            for _, tmp, _, _ in staged[renamed:]:
+                with contextlib.suppress(OSError):
+                    os.remove(tmp)
             raise
     except (OSError, UnicodeEncodeError) as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc

@@ -1170,3 +1170,52 @@ class TestSharedOutput:
         argv = _envelope_argv(tmp_path, "split")
         assert run([*argv, "--out", os.devnull, "--report", os.devnull,
                     "--quiet"]) == 0
+
+
+def _tree(root):
+    """Every entry under ``root``: a file's bytes, None for a directory."""
+    return {path.relative_to(root).as_posix():
+            None if path.is_dir() else path.read_bytes()
+            for path in sorted(root.rglob("*"))}
+
+
+class TestFailedSplitChangesNoOutput:
+    @pytest.mark.parametrize("blocked", ["test_jsonl_is_a_directory",
+                                         "export_dir_is_a_file"])
+    def test_outputs_keep_their_bytes(self, tmp_path, capsys, blocked):
+        """A seed-5 split that fails to write leaves the seed-0 split and
+        its exports as they were, with no temporary file."""
+        ann, tsv = write_corpus(tmp_path, n_images=40, seed=3)
+        records = tmp_path / "records.jsonl"
+        assert run(["build", "--annotations", str(ann), "--correlates",
+                    str(tsv), "--out", str(records), "--quiet"]) == 0
+        work = tmp_path / "work"
+        work.mkdir()
+
+        def split(seed, out, export_dir):
+            return run(["split", "--in", str(records), "--val", "6",
+                        "--test", "6", "--seed", str(seed), "--out", str(out),
+                        "--export-dir", str(export_dir), "--quiet"])
+
+        assert split(0, work / "s.jsonl", work / "exp") == 0
+        # the seed-5 split differs, so a file it replaced would show
+        assert split(5, tmp_path / "s5.jsonl", tmp_path / "exp5") == 0
+        assert (tmp_path / "s5.jsonl").read_bytes() != \
+            (work / "s.jsonl").read_bytes()
+        if blocked == "test_jsonl_is_a_directory":
+            export_dir = work / "exp"
+            (export_dir / "test.jsonl").unlink()
+            (export_dir / "test.jsonl").mkdir()
+            message = f"cannot write {export_dir / 'test.jsonl'}: "
+        else:
+            export_dir = work / "notadir"
+            export_dir.write_bytes(b"not a directory\n")
+            message = f"cannot create export directory {export_dir}: "
+        before = _tree(work)
+        capsys.readouterr()
+        assert split(5, work / "s.jsonl", export_dir) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert _tree(work) == before
+        assert not [path for path in before if path.endswith(".tmp")]

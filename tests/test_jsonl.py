@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, find, given, settings
 from hypothesis import strategies as st
 
 from iconcap import DuplicateId, IoFailure, SchemaViolation
+from iconcap.captions import CaptionRecord, export_jsonl
 from iconcap.cli import run
 from iconcap.jsonl import (SPLITS, _echo, read_captions, write_atomic,
                            write_captions)
@@ -299,6 +300,51 @@ class TestWriteCaptions:
             write_captions(path, rows)
             assert path.read_bytes() == data
         assert os.listdir(tmp_path) == ["out.jsonl"]
+
+    @settings(max_examples=100,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.dictionaries(text, st.tuples(text, st.sampled_from(SPLITS)),
+                           max_size=8))
+    def test_exports_match_separate_writes(self, tmp_path, drawn):
+        """One pass with ``export_dir`` writes the bytes of the records
+        file and of three filtered ``export_jsonl`` calls."""
+        # non-ASCII text, JSON escapes, every split and an unset one
+        drawn.update({"a\u00e9.jpg": ('say "hi" \\ \u2603\t\x01.', "train"),
+                      "b\u4e2d.jpg": ("\u00fcber\nline.", "val"),
+                      "c.jpg": ("\u2028sea, ship.", "test"),
+                      "d.jpg": ("unset.", None)})
+        rows = sorted((image_id, caption, split)
+                      for image_id, (caption, split) in drawn.items())
+        one, apart = tmp_path / "one", tmp_path / "apart"
+        for directory in (one, apart):
+            (directory / "exp").mkdir(parents=True, exist_ok=True)
+        write_captions(one / "s.jsonl", rows, one / "exp")
+        write_captions(apart / "s.jsonl", rows)
+        records = [CaptionRecord(image_id, "", caption, split)
+                   for image_id, caption, split in rows]
+        for split in SPLITS:
+            export_jsonl(records, apart / "exp" / f"{split}.jsonl", split)
+        for name in ("s.jsonl", *(f"exp/{split}.jsonl" for split in SPLITS)):
+            assert (one / name).read_bytes() == (apart / name).read_bytes()
+        assert sorted(os.listdir(one / "exp")) == sorted(
+            f"{split}.jsonl" for split in SPLITS)
+
+    def test_unencodable_last_row_keeps_all_four_files(self, tmp_path):
+        rows = [("a", "sea.", "train"), ("b", "ship\u00e9.", "val"),
+                ("c", "king.", "test"), ("d", "bad \ud800.", "train")]
+        exports = tmp_path / "exp"
+        exports.mkdir()
+        targets = [tmp_path / "s.jsonl",
+                   *(exports / f"{split}.jsonl" for split in SPLITS)]
+        for target in targets:
+            target.write_text(f"old {target.name}\n")
+        with pytest.raises(IoFailure, match="cannot write .*s.jsonl"):
+            write_captions(tmp_path / "s.jsonl", rows, exports)
+        for target in targets:
+            assert target.read_text() == f"old {target.name}\n"
+        assert sorted(os.listdir(tmp_path)) == ["exp", "s.jsonl"]
+        assert sorted(os.listdir(exports)) == sorted(
+            f"{split}.jsonl" for split in SPLITS)
 
     def test_frozen_pipeline_digests(self, tmp_path):
         # recorded before the writer was rebuilt on the C string encoder;
