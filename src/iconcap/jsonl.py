@@ -232,8 +232,10 @@ def _staged(paths: list[str | Path]) -> Iterator[list[TextIO]]:
     crash between two renames leaves some targets replaced.
 
     An OSError or UnicodeEncodeError becomes ``IoFailure("cannot write
-    <path>: ...")`` naming the path being opened, closed or replaced, or
-    the first path for an error raised in the block.
+    <path>: <reason>")`` naming the path being opened, closed or replaced,
+    or the first path for an error raised in the block.  The reason is the
+    OSError's ``strerror``, which names no file (an OSError's full text
+    names the temporary file, a random name), or else the error's text.
     """
     streams: list[TextIO] = []
     staged: list[tuple[str | Path, str, str, int | None]] = []
@@ -275,4 +277,5 @@ def _staged(paths: list[str | Path]) -> Iterator[list[TextIO]]:
                     os.remove(tmp)
             raise
     except (OSError, UnicodeEncodeError) as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc
+        raise IoFailure(f"cannot write {path}: {reason}") from exc

@@ -15,15 +15,20 @@ its tolerance.
 Scores are kept in natural scale: BLEU, METEOR and ROUGE-L in [0, 1],
 CIDEr in [0, 10].  Reports offer a x100 presentation mode.
 
-Each caption is cooked once: :func:`_ngram_counts` counts orders 1..max_n
-in one call, and BLEU's clipped counts, the corpus BLEU sums and CIDEr's
-cosines all read those counts.  :func:`evaluate_pairs` visits the pairs
-grouped by candidate, so a candidate's counts and its CIDEr TF-IDF vectors
-and norms are built once and live for its group; a reference's counts live
-for its pair.  CIDEr's document frequencies are a separate first pass that
-reads each image's set of reference n-grams, since IDF must be complete
-before any pair is scored.  METEOR stems each token once through a token
--> stem memo; :func:`evaluate_pairs` shares one memo over the whole call.
+Each distinct piece of work is done once per call.  :func:`evaluate`
+tokenizes each distinct caption text once, through a text -> tokens memo
+that dies before scoring starts.  :func:`_ngram_counts` counts orders
+1..max_n in one call, and BLEU's clipped counts, the corpus BLEU sums and
+CIDEr's cosines all read those counts.  :func:`evaluate_pairs` visits the
+pairs grouped by candidate, so a candidate's counts and its CIDEr TF-IDF
+vectors and norms are built once and live for its group.  Within a group
+each distinct reference list is counted and scored once, and its BLEU
+stats and scores live for that group and serve every image that carries
+it.  CIDEr's document frequencies are a separate first pass that builds
+the n-gram set of each distinct reference list once and weighs it by the
+number of images carrying it, since IDF must be complete before any pair
+is scored.  METEOR stems each token once through a token -> stem memo;
+:func:`evaluate_pairs` shares one memo over the whole call.
 ROUGE-L's LCS is Hyyrö's bit-parallel recurrence over the candidate's
 token position masks (:func:`_positions`), and METEOR's greedy alignment
 takes each match as the lowest free bit of a reference mask, so neither
@@ -76,6 +81,15 @@ def strip_punctuation_tokens(tokens: list[str]) -> list[str]:
     return [t for t in tokens if t not in PUNCTUATION]
 
 
+def _prep(text: str, strip_punctuation: bool) -> tuple[str, ...]:
+    """A caption's scoring tokens: :func:`tokenize`, then optionally
+    :func:`strip_punctuation_tokens`."""
+    toks = tokenize(text)
+    if strip_punctuation:
+        toks = strip_punctuation_tokens(toks)
+    return tuple(toks)
+
+
 @dataclass(frozen=True)
 class EvalPair:
     """A candidate token sequence and its (non-empty) reference list."""
@@ -94,13 +108,8 @@ class EvalPair:
         cls, image_id: str, candidate: str, references: list[str],
         strip_punctuation: bool = True,
     ) -> EvalPair:
-        def prep(text: str) -> tuple[str, ...]:
-            toks = tokenize(text)
-            if strip_punctuation:
-                toks = strip_punctuation_tokens(toks)
-            return tuple(toks)
-
-        return cls(image_id, prep(candidate), tuple(prep(r) for r in references))
+        return cls(image_id, _prep(candidate, strip_punctuation),
+                   tuple(_prep(r, strip_punctuation) for r in references))
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +377,22 @@ def _cider_idf(
 
     A first pass over the references: IDF must be complete before any
     pair is scored.  Document frequency needs only each image's set of
-    reference n-grams, not their counts.
+    reference n-grams, not their counts, so the set of each distinct
+    ``references`` tuple is built once and added once per image that
+    carries it.  The sets and the tuple -> images count live for this
+    call only.
     """
     doc_freq: Counter = Counter()
-    for pair in pairs:
+    for references, images in Counter(p.references for p in pairs).items():
         grams: set[tuple[str, ...]] = set()
-        for ref in pair.references:
+        for ref in references:
             for n in range(1, max_n + 1):
                 grams.update(_ngrams(ref, n))
-        doc_freq.update(grams)
+        if images == 1:  # most sets: Counter's C counting loop
+            doc_freq.update(grams)
+        else:
+            for gram in grams:
+                doc_freq[gram] += images
     n_images = len(pairs)
     idf = {
         gram: math.log(n_images / max(1, df)) for gram, df in doc_freq.items()
@@ -506,10 +522,13 @@ def evaluate_pairs(
 
     The pairs are visited grouped by candidate: each distinct candidate's
     n-grams are counted, and its CIDEr vectors and norms built, once per
-    group, and each reference's n-grams once per pair.  Those counts feed
-    per-pair BLEU, the corpus BLEU sums and CIDEr; CIDEr's IDF comes from a
-    first pass over the references.  Rows and BLEU stats are stored at
-    their image-id position, so every corpus sum runs in image-id order.
+    group.  Within the group each distinct ``references`` tuple is counted
+    and scored once; its BLEU stats and score dict are kept until the group
+    ends, and every image carrying it gets ``{"image_id": ..., **scores}``
+    and the same stats tuple.  Those counts feed per-pair BLEU, the corpus
+    BLEU sums and CIDEr; CIDEr's IDF comes from a first pass over the
+    distinct reference lists.  Rows and BLEU stats are stored at their
+    image-id position, so every corpus sum runs in image-id order.
     METEOR's stems come from one token -> stem memo shared by the whole
     call.
     """
@@ -529,21 +548,26 @@ def evaluate_pairs(
     for candidate, group in groups.items():
         cand_counts = _ngram_counts(candidate, max_n)
         cand_vectors = _cider_vectors(cand_counts, idf, idf_default)
+        # references -> (BLEU stats, scores), for this candidate's group
+        scored: dict[tuple[tuple[str, ...], ...], tuple] = {}
         for i in group:
             pair = pairs[i]
-            ref_counts = [_ngram_counts(ref, max_n) for ref in pair.references]
-            pair_stats[i] = stats = _bleu_stats(pair, cand_counts, ref_counts)
-            row: dict[str, object] = {"image_id": pair.image_id}
-            bleus = _bleu_from_stats(*stats, max_n, epsilon)
-            for n, score in enumerate(bleus, 1):
-                row[f"bleu{n}"] = score
-            row["meteor"] = _meteor(
-                pair, stem_memo, config.meteor_alpha, config.meteor_gamma,
-                config.meteor_theta,
-            )
-            row["rouge_l"] = rouge_l(pair, config.rouge_beta)
-            row["cider"] = _cider_score(cand_vectors, ref_counts, idf)
-            rows[i] = row
+            done = scored.get(pair.references)
+            if done is None:
+                ref_counts = [_ngram_counts(ref, max_n)
+                              for ref in pair.references]
+                stats = _bleu_stats(pair, cand_counts, ref_counts)
+                bleus = _bleu_from_stats(*stats, max_n, epsilon)
+                scores = {f"bleu{n}": score for n, score in enumerate(bleus, 1)}
+                scores["meteor"] = _meteor(
+                    pair, stem_memo, config.meteor_alpha, config.meteor_gamma,
+                    config.meteor_theta,
+                )
+                scores["rouge_l"] = rouge_l(pair, config.rouge_beta)
+                scores["cider"] = _cider_score(cand_vectors, ref_counts, idf)
+                done = scored[pair.references] = (stats, scores)
+            pair_stats[i], scores = done
+            rows[i] = {"image_id": pair.image_id, **scores}
 
     bleus = _bleu_from_stats(*_sum_bleu_stats(pair_stats), max_n, epsilon)
     corpus = {f"bleu{n}": score for n, score in enumerate(bleus, 1)}
@@ -565,20 +589,35 @@ def evaluate(
     EmptyCorpus naming the candidates file when it holds no caption.
     """
     config = config or EvalConfig()
+    pairs = _load_pairs(candidates_path, references_path,
+                        config.strip_punctuation)
+    return evaluate_pairs(pairs, config)
+
+
+def _load_pairs(
+    candidates_path: str | Path, references_path: str | Path,
+    strip_punctuation: bool,
+) -> list[EvalPair]:
+    """:func:`evaluate`'s pairs in image-id order.  Each distinct caption
+    text, candidate or reference, is tokenized once through a text ->
+    tokens memo; the memo and the caption maps die on return, before any
+    pair is scored."""
     candidates = load_caption_map(candidates_path)
     references = load_caption_map(references_path)
     if not candidates:
         raise EmptyCorpus(f"{candidates_path}: evaluation over zero pairs")
+    memo: dict[str, tuple[str, ...]] = {}
+
+    def prep(text: str) -> tuple[str, ...]:
+        tokens = memo.get(text)
+        if tokens is None:
+            tokens = memo[text] = _prep(text, strip_punctuation)
+        return tokens
+
     pairs = []
     for image_id in sorted(candidates):
         if image_id not in references:
             raise MissingReference(image_id, candidates_path, references_path)
-        pairs.append(
-            EvalPair.from_text(
-                image_id,
-                candidates[image_id],
-                [references[image_id]],
-                strip_punctuation=config.strip_punctuation,
-            )
-        )
-    return evaluate_pairs(pairs, config)
+        pairs.append(EvalPair(image_id, prep(candidates[image_id]),
+                              (prep(references[image_id]),)))
+    return pairs

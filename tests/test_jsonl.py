@@ -419,3 +419,31 @@ class TestWriteAtomic:
         assert data == b"through the pipe\n"
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert os.listdir(tmp_path) == ["out.fifo"]
+
+    def test_missing_directory_message_names_the_target(self, tmp_path):
+        path = tmp_path / "nodir" / "e.csv"
+        messages = []
+        for _ in range(2):
+            with pytest.raises(IoFailure) as caught:
+                write_atomic(path, ["x\n"])
+            messages.append(str(caught.value))
+        # the temporary file's random name would differ between the runs
+        assert messages[0] == messages[1] == \
+            f"cannot write {path}: No such file or directory"
+        assert ".tmp" not in messages[0]
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_replace_names_the_target(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.jsonl"
+        path.write_text("old\n")
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", src)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(IoFailure) as caught:
+            write_captions(path, [("a", "sea.", None)])
+        assert str(caught.value) == \
+            f"cannot write {path}: Permission denied"
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.jsonl"]

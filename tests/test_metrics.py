@@ -707,8 +707,32 @@ class TestEvaluate:
         assert [r["image_id"] for r in report.examples] == ["aaa", "zzz"]
 
 
+def reference_doc_freq(pairs, max_n):
+    """CIDEr document frequency oracle: one set of reference n-grams per
+    image, counted image by image, with no set shared between images."""
+    doc_freq = Counter()
+    for p in pairs:
+        grams = set()
+        for ref in p.references:
+            for n in range(1, max_n + 1):
+                grams.update(tuple(ref[i:i + n])
+                             for i in range(len(ref) - n + 1))
+        doc_freq.update(grams)
+    return doc_freq
+
+
+def assert_idf_matches_oracle(pairs, max_n=4):
+    n_images = len(pairs)
+    assert metrics._cider_idf(pairs, max_n) == (
+        {gram: math.log(n_images / df)
+         for gram, df in reference_doc_freq(pairs, max_n).items()},
+        math.log(n_images))
+
+
 def assert_rows_equal_public_scorers(pairs):
-    """evaluate_pairs' rows and corpus, bit for bit, from the public scorers."""
+    """evaluate_pairs' rows and corpus, bit for bit, from the public scorers;
+    the IDF those share, from the per-image oracle."""
+    assert_idf_matches_oracle(pairs)
     report = evaluate_pairs(pairs)
     ordered = sorted(pairs, key=lambda p: p.image_id)
     cider_scores, cider_corpus = cider(ordered)
@@ -754,6 +778,22 @@ class TestSinglePass:
                  f"img{k:03d}")
             for k in range(66)
         ]
+        # whole pairs repeated under new ids, some twice, and reference
+        # lists repeated under another candidate
+        pairs += [dataclasses.replace(p, image_id=f"{p.image_id}r{j}")
+                  for j in range(2) for p in pairs[j::5]]
+        pairs += [dataclasses.replace(p, image_id=f"{p.image_id}c",
+                                      candidate=candidates[(k + 1) % 3])
+                  for k, p in enumerate(pairs[:6])]
+        # texts that differ only in case and punctuation tokenize the same
+        pairs += [
+            EvalPair.from_text("txt1", "Sea, ship; sea boat.",
+                               ["The king's palace.", "saint tree"]),
+            EvalPair.from_text("txt2", "sea ship SEA - boat",
+                               ["the KING'S (palace)", "Saint, tree!"]),
+        ]
+        assert pairs[-1] == dataclasses.replace(pairs[-2], image_id="txt2")
+        assert pairs[-1].candidate == candidates[1]
         rng.shuffle(pairs)
         assert_rows_equal_public_scorers(pairs)
 
@@ -776,9 +816,13 @@ class TestSinglePass:
     def test_ngrams_counted_once_per_candidate_and_reference(self,
                                                              monkeypatch):
         pairs = random_pairs(41, 80)
-        # repeat some candidates under new ids, so grouping shows
+        # repeat some whole pairs under new ids, and give some reference
+        # lists a second candidate, so both kinds of sharing show
         pairs += [dataclasses.replace(p, image_id=f"{p.image_id}x")
                   for p in pairs[:30]]
+        pairs += [dataclasses.replace(p, image_id=f"{p.image_id}y",
+                                      candidate=q.candidate)
+                  for p, q in zip(pairs[30:40], pairs[40:50])]
         calls = Counter()
         real = metrics._ngram_counts
 
@@ -789,11 +833,61 @@ class TestSinglePass:
         monkeypatch.setattr(metrics, "_ngram_counts", counting)
         evaluate_pairs(pairs)
         distinct = {p.candidate for p in pairs}
-        assert len(distinct) < len(pairs)
+        distinct_pairs = {(p.candidate, p.references) for p in pairs}
+        assert len(distinct) < len(distinct_pairs) < len(pairs)
         # the IDF pass reads gram sets and counts nothing; the scoring loop
-        # counts each distinct candidate once and each reference per pair
+        # counts each distinct candidate once and each reference once per
+        # distinct (candidate, references) pair
         assert calls == Counter(distinct) + Counter(
-            r for p in pairs for r in p.references)
+            r for _, refs in distinct_pairs for r in refs)
+
+    def test_idf_matches_per_image_oracle(self):
+        pairs = random_pairs(47, 40)
+        # repeated reference sets, one with a second candidate; empty
+        # references, alone and beside a non-empty one
+        pairs += [dataclasses.replace(p, image_id=f"{p.image_id}x")
+                  for p in pairs[:15]]
+        pairs += [dataclasses.replace(pairs[3], image_id="other",
+                                      candidate=("tree",))]
+        pairs += [pair(["sea"], [[]], "e1"), pair(["sea"], [[]], "e2"),
+                  pair([], [[], ["sea", "ship"]], "e3")]
+        assert len({p.references for p in pairs}) < len(pairs)
+        assert any(len(p.references) > 1 for p in pairs)
+        for max_n in range(1, 5):
+            assert_idf_matches_oracle(pairs, max_n)
+        assert_idf_matches_oracle([pair(["sea"], [[]], "only")])
+
+    @pytest.mark.parametrize("strip", [True, False])
+    def test_evaluate_tokenizes_each_text_once(self, tmp_path, monkeypatch,
+                                               strip):
+        cands = tmp_path / "c.jsonl"
+        refs = tmp_path / "r.jsonl"
+        texts = ["The sea, a ship.", "the SEA a ship", "king palace.",
+                 "Saint; tree!", ""]
+        rng = random.Random(53)
+        cand_rows = [{"image_id": f"img{i:02d}", "caption": rng.choice(texts)}
+                     for i in range(30)]
+        ref_rows = [{"image_id": f"img{i:02d}", "caption": rng.choice(texts)}
+                    for i in range(30)]
+        write_jsonl(cands, cand_rows)
+        write_jsonl(refs, ref_rows)
+        calls = Counter()
+        real = metrics.tokenize
+
+        def counting(text):
+            calls[text] += 1
+            return real(text)
+
+        monkeypatch.setattr(metrics, "tokenize", counting)
+        report = evaluate(cands, refs, EvalConfig(strip_punctuation=strip))
+        assert calls == Counter(
+            {row["caption"] for row in cand_rows + ref_rows})
+        # the same rows as pairs tokenized one by one
+        expected = evaluate_pairs([
+            EvalPair.from_text(c["image_id"], c["caption"], [r["caption"]],
+                               strip_punctuation=strip)
+            for c, r in zip(cand_rows, ref_rows)])
+        assert report.to_json() == expected.to_json()
 
     def test_pair_without_references_is_rejected(self):
         message = "image id 'a' has no reference captions"
