@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from operator import attrgetter
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from .errors import DuplicateId, InsufficientRecords
 from .iconclass import AnnotationRecord, CorrelateStore, resolve_code
-from .jsonl import read_captions, write_captions
+from .jsonl import CaptionRow, read_captions, staged, write_captions
 
 
 @dataclass(slots=True)
@@ -323,27 +324,23 @@ def export_jsonl(
         r for r in records if split_filter is None or r.split == split_filter
     ]
     selected.sort(key=_BY_ID)
-    write_captions(
-        path, ((r.image_id, r.clean_description, None) for r in selected)
-    )
+    with staged([path]) as (fh,):
+        write_captions(
+            fh, ((r.image_id, r.clean_description, None) for r in selected))
     return len(selected)
 
 
-def write_records_jsonl(records: list[CaptionRecord], path: str | Path,
-                        export_dir: str | Path | None = None) -> int:
-    """Write full records (with split when set) sorted by id.
+def caption_rows(records: list[CaptionRecord]) -> Iterator[CaptionRow]:
+    """The rows of a records file: each record, split kept, in id order."""
+    return ((r.image_id, r.clean_description, r.split)
+            for r in sorted(records, key=_BY_ID))
 
-    With ``export_dir``, also write each split's ``{"image_id",
-    "caption"}`` lines to ``<export_dir>/<split>.jsonl`` in the same pass,
-    the bytes ``export_jsonl`` writes for that split; all four files are
-    replaced together.
-    """
-    ordered = sorted(records, key=_BY_ID)
-    write_captions(
-        path, ((r.image_id, r.clean_description, r.split) for r in ordered),
-        export_dir,
-    )
-    return len(ordered)
+
+def write_records_jsonl(records: list[CaptionRecord], path: str | Path) -> int:
+    """Write full records (with split when set) sorted by id; returns count."""
+    with staged([path]) as (fh,):
+        write_captions(fh, caption_rows(records))
+    return len(records)
 
 
 def read_records_jsonl(path: str | Path) -> list[CaptionRecord]:

@@ -3,18 +3,20 @@
 Subcommands: ``parse``, ``build``, ``split``, ``eval``, ``analyze``,
 ``baseline``.  Exit codes: 0 success, 1 domain error, 2 usage error.
 All logs go to standard error; primary outputs go to files or stdout.
-Every handler returns its report payload and ``run`` writes it last, as
-one envelope holding the tool version and the resolved configuration, to
-``--report`` or else to stdout (eval) or stderr (the rest); a failed run
-writes no report.  Every stdout document leaves through ``_print``.
 Every subcommand takes ``--report``, ``--quiet`` and ``--jobs``; the rest
 of its flags are its own (``split --seed`` holds the only randomness).
-Two outputs of one run that name the same file (after symlinks are
-resolved) are a usage error, raised before any input is read; a target
-that exists but is not a regular file, such as ``/dev/null``, is exempt.
-The handler and the report write run with the cyclic garbage collector
-paused (``collector_paused``), and the collector's state on entry is
-restored however the run ends; the pause is process-wide.
+Before any input is read, ``run`` lists the run's outputs (``--out``,
+``--csv``, ``split``'s ``<export-dir>/{train,val,test}.jsonl``, then
+``--report``), refuses two that name one file as a usage error, makes the
+export directory and opens every output in one ``jsonl.staged`` stage.
+The handler writes into the open streams and returns its report payload,
+which ``run`` writes last as one envelope of the tool version and the
+resolved configuration; no output is replaced until all are written.
+Without ``--report`` the envelope goes to stdout (eval) or stderr (the
+rest) once they are, so a failed run writes no report.  Every stdout
+document leaves through ``_print``.  The stage runs with the cyclic
+collector paused (``collector_paused``, process-wide), and the collector's
+state on entry is restored however the run ends.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .captions import (
     SplitConfig,
     assign_splits,
     build_dataset,
+    caption_rows,
     read_records_jsonl,
-    write_records_jsonl,
 )
 from .errors import EmptyInput, IconcapError, IoFailure
 from .iconclass import (
@@ -51,8 +53,10 @@ from .iconclass import (
     load_annotations,
     parse_notation,
 )
-from .jsonl import SPLITS, read_captions, reading, write_atomic, write_captions
+from .jsonl import SPLITS, read_captions, reading, staged, write_captions
 from .metrics import EvalConfig, evaluate, load_caption_map
+
+Outputs = dict[str, TextIO]  # a run's open output streams by name
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -179,32 +183,29 @@ def _log(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _print(text: str, stream: TextIO | None = None) -> None:
-    """Print to ``stream`` (stdout); an unencodable character is IoFailure."""
+def _print(text: str, stream: TextIO | None = None, name: str = "") -> None:
+    """Print to ``stream`` (stdout); an unencodable character is IoFailure
+    naming ``name``, by default the standard stream."""
     stream = stream or sys.stdout
     try:
         print(text, file=stream)
     except UnicodeEncodeError as exc:
-        name = "error" if stream is sys.stderr else "output"
-        raise IoFailure(f"cannot write standard {name}: {exc}") from exc
+        name = name or "standard " + ("error" if stream is sys.stderr
+                                      else "output")
+        raise IoFailure(f"cannot write {name}: {exc}") from exc
 
 
-def _emit_report(args: argparse.Namespace, payload: dict[str, object],
-                 stream: TextIO) -> None:
-    """Write the envelope to ``--report``, else to ``stream``; argv text
-    that is not UTF-8 is backslash-escaped so the report stays UTF-8."""
+def _envelope(args: argparse.Namespace, payload: dict[str, object]) -> str:
+    """The report: the tool version, the parsed flags and ``payload``;
+    argv text that is not UTF-8 is backslash-escaped so it stays UTF-8."""
     config = {key: value.encode("utf-8", "backslashreplace").decode("utf-8")
               if isinstance(value, str) else value
               for key, value in vars(args).items()}
-    text = json.dumps({"tool_version": __version__, "config": config,
+    return json.dumps({"tool_version": __version__, "config": config,
                        **payload}, ensure_ascii=False, indent=2)
-    if args.report:
-        write_atomic(args.report, [text, "\n"])
-    else:
-        _print(text, stream)
 
 
-def _cmd_parse(args: argparse.Namespace) -> dict[str, object]:
+def _cmd_parse(args: argparse.Namespace, out: Outputs) -> dict[str, object]:
     notation = parse_notation(args.code)
     _print(json.dumps({
         "base": list(notation.base),
@@ -222,7 +223,7 @@ def _opens_with_object(path: str, what: str = "") -> bool:
         return next(filter(None, map(str.strip, fh)), "").startswith("{")
 
 
-def _cmd_build(args: argparse.Namespace) -> dict[str, object]:
+def _cmd_build(args: argparse.Namespace, out: Outputs) -> dict[str, object]:
     annotations = load_annotations(args.annotations)
     store = (CorrelateStore.from_json
              if _opens_with_object(args.correlates, "correlate table")
@@ -236,21 +237,16 @@ def _cmd_build(args: argparse.Namespace) -> dict[str, object]:
     records, report = build_dataset(
         annotations, store, cfg, parent_fallback=args.parent_fallback
     )
-    count = write_records_jsonl(records, args.out)
-    _log(args, f"wrote {count} caption records to {args.out}")
+    write_captions(out["out"], caption_rows(records))
+    _log(args, f"wrote {len(records)} caption records to {args.out}")
     return report.as_dict()
 
 
-def _cmd_split(args: argparse.Namespace) -> dict[str, object]:
+def _cmd_split(args: argparse.Namespace, out: Outputs) -> dict[str, object]:
     cfg = SplitConfig(seed=args.seed, n_val=args.val, n_test=args.test)
     records = assign_splits(read_records_jsonl(args.infile), cfg)
-    if args.export_dir:
-        try:
-            os.makedirs(args.export_dir, exist_ok=True)
-        except OSError as exc:
-            raise IoFailure(f"cannot create export directory "
-                            f"{args.export_dir}: {exc}") from exc
-    write_records_jsonl(records, args.out, args.export_dir)
+    write_captions(out["out"], caption_rows(records),
+                   {split: out[split] for split in SPLITS if split in out})
     _log(args, f"wrote {len(records)} split records to {args.out}")
     tally = Counter(r.split for r in records)
     counts = {s: tally[s] for s in SPLITS}
@@ -260,13 +256,13 @@ def _cmd_split(args: argparse.Namespace) -> dict[str, object]:
     return {"splits": counts}
 
 
-def _cmd_eval(args: argparse.Namespace) -> dict[str, object]:
+def _cmd_eval(args: argparse.Namespace, out: Outputs) -> dict[str, object]:
     config = EvalConfig(strip_punctuation=not args.keep_punctuation)
     report = evaluate(args.candidates, args.references, config)
     if args.x100:
         report = report.x100()
     if args.csv:
-        write_atomic(args.csv, [report.to_csv()])
+        out["csv"].write(report.to_csv())
         _log(args, f"wrote per-example CSV to {args.csv}")
     payload = report.as_dict()
     summary = " ".join(f"{name}={score:.4f}"
@@ -275,14 +271,15 @@ def _cmd_eval(args: argparse.Namespace) -> dict[str, object]:
     return payload
 
 
-def _cmd_analyze_genres(args: argparse.Namespace) -> dict[str, object]:
+def _cmd_analyze_genres(args: argparse.Namespace,
+                        out: Outputs) -> dict[str, object]:
     captions = load_caption_map(args.captions)
     genres = load_genre_csv(args.genres)
     records = join_genres(captions, genres)
     if not records:
         raise EmptyInput(f"{args.captions}: no image id is in {args.genres}")
     distribution = genre_distribution(records, args.k, args.unit)
-    write_atomic(args.out, [distribution.to_csv()])
+    out["out"].write(distribution.to_csv())
     _log(args, f"wrote {len(distribution.phrases)} phrases x "
                f"{len(distribution.genres)} genres to {args.out}")
     return {
@@ -292,7 +289,8 @@ def _cmd_analyze_genres(args: argparse.Namespace) -> dict[str, object]:
     }
 
 
-def _cmd_analyze_lengths(args: argparse.Namespace) -> dict[str, object]:
+def _cmd_analyze_lengths(args: argparse.Namespace,
+                         out: Outputs) -> dict[str, object]:
     stats = length_stats([caption for _, caption, _
                           in read_captions(args.captions)])
     _print(json.dumps(stats, ensure_ascii=False, indent=2))
@@ -307,38 +305,35 @@ def _read_test_ids(path: str) -> list[str]:
         return [line.strip() for line in fh if line.strip()]
 
 
-def _cmd_baseline(args: argparse.Namespace) -> dict[str, object]:
+def _cmd_baseline(args: argparse.Namespace, out: Outputs) -> dict[str, object]:
     records = read_records_jsonl(args.train)
     if any(r.split for r in records):
         records = [r for r in records if r.split == "train"]
     test_ids = _read_test_ids(args.ids)
+    if not test_ids:
+        raise EmptyInput(f"{args.ids}: no test id")
     try:
         pairs = frequency_baseline(records, test_ids)
     except EmptyInput as exc:
         raise EmptyInput(f"{args.train}: {exc}") from None
-    write_captions(args.out, ((image_id, caption, None)
-                              for image_id, caption in pairs))
+    write_captions(out["out"], ((image_id, caption, None)
+                                for image_id, caption in pairs))
     _log(args, f"wrote {len(pairs)} baseline candidates to {args.out}")
     return {"candidates": len(pairs)}
 
 
-def _shared_output(args: argparse.Namespace) -> str | None:
-    """A message if two outputs of the run name one file, else None.
+def _shared_output(outputs: dict[str, str]) -> str | None:
+    """A message if two of the run's ``outputs`` name one file, else None.
 
-    A later write would replace an earlier one whole.  A target that
-    exists but is not a regular file is written in place by
-    ``write_atomic``, so outputs may share it.
+    All are staged together, so one rename would overwrite another.  A
+    target that exists but is not a regular file is written in place by
+    ``staged``, so outputs may share it.
     """
-    outputs = [(f"--{name}", getattr(args, name))
-               for name in ("out", "csv", "report") if getattr(args, name, None)]
-    if getattr(args, "export_dir", None):
-        outputs += [("--export-dir", os.path.join(args.export_dir,
-                                                  f"{split}.jsonl"))
-                    for split in SPLITS]
     seen: dict[str, str] = {}
-    for flag, path in outputs:
+    for name, path in outputs.items():
         if os.path.exists(path) and not os.path.isfile(path):
             continue
+        flag = "--export-dir" if name in SPLITS else f"--{name}"
         target = os.path.realpath(path)
         if target in seen:
             return f"{seen[target]} and {flag} name the same file: {path}"
@@ -366,16 +361,34 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     key = (args.command,) if args.command != "analyze" \
         else (args.command, args.analysis)
-    shared = _shared_output(args)
+    # the run's output paths by name, in the order they are staged
+    outputs = {name: getattr(args, name) for name in ("out", "csv")
+               if getattr(args, name, None)}
+    export_dir = getattr(args, "export_dir", None)
+    if export_dir:
+        outputs.update((split, os.path.join(export_dir, f"{split}.jsonl"))
+                       for split in SPLITS)
+    if args.report:
+        outputs["report"] = args.report
+    shared = _shared_output(outputs)
     if shared:
         print(f"iconcap {args.command}: error: {shared}", file=sys.stderr)
         return 2
     try:
+        if export_dir:
+            try:
+                os.makedirs(export_dir, exist_ok=True)
+            except OSError as exc:
+                raise IoFailure(f"cannot create export directory "
+                                f"{export_dir}: {exc}") from exc
         # a run builds many long-lived records and few cycles to free
-        with collector_paused():
-            payload = _HANDLERS[key](args)
-            _emit_report(args, payload,
-                         sys.stdout if args.command == "eval" else sys.stderr)
+        with collector_paused(), staged(list(outputs.values())) as streams:
+            out = dict(zip(outputs, streams))
+            text = _envelope(args, _HANDLERS[key](args, out))
+            if args.report:  # last, so a failed report replaces no output
+                _print(text, out["report"], args.report)
+        if not args.report:
+            _print(text, sys.stdout if args.command == "eval" else sys.stderr)
     except (IconcapError, OSError) as exc:
         print(f"iconcap {args.command}: error: {exc}", file=sys.stderr)
         return 1

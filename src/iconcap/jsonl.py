@@ -1,4 +1,5 @@
-"""The caption JSONL format: one validated reader and one atomic writer.
+"""The caption JSONL format: one validated reader and one writer, and the
+staging that replaces a run's outputs together.
 
 A caption file holds one JSON object per line, blank lines skipped:
 
@@ -21,16 +22,15 @@ keys in that order, ``", "`` between members, ``": "`` after each key, no
 written as they are (only ``"``, ``\\`` and control characters escaped).
 
 Every file the package reads goes through :func:`reading`, so a failed
-read is an IoFailure naming the file, and every file it writes through
-:func:`_staged`, so a failed run never leaves a truncated file.
-:func:`write_atomic` is its one-file case.  ``split``'s four files (its
-records and, with an export directory, one caption file per split) are
-staged together by :func:`write_captions` and replaced only after all
-four are written, so a failed write leaves all four as they were.  That
-does not cover a crash between two renames, which leaves some of the four
-replaced; nothing is ``fsync``ed; a target that is not a regular file is
-written in place as the run goes; and the ``--report`` of any subcommand
-is still replaced on its own, after the other outputs.
+read is an IoFailure naming the file.  Every file it writes goes through
+:func:`staged`, which writes each of a set of outputs to a temporary file
+beside it and renames them into place only after all are written.  The
+command line stages all of a run's outputs, its report included, as one
+set, so a failed run leaves every output as it was and no temporary file
+behind.  :func:`write_captions` writes caption rows to open streams.  Not
+covered: a crash between two renames leaves some outputs replaced;
+nothing is ``fsync``ed; a target that is not a regular file is written in
+place as the run goes.
 """
 
 from __future__ import annotations
@@ -181,44 +181,28 @@ def read_captions(path: str | Path) -> Iterator[CaptionRow]:
             yield image_id, caption, split
 
 
-def write_captions(path: str | Path, rows: Iterable[CaptionRow],
-                   export_dir: str | Path | None = None) -> None:
-    """Write ``(image_id, caption, split)`` rows, omitting an unset split.
-
-    With ``export_dir``, each row whose split is set is also written
-    without it to ``<export_dir>/<split>.jsonl``: each row is encoded once,
-    and the four files are replaced together (see :func:`_staged`).
-    """
-    targets = [path]
-    if export_dir is not None:
-        targets += [os.path.join(export_dir, f"{split}.jsonl")
-                    for split in SPLITS]
-    with _staged(targets) as streams:
-        write = streams[0].write
-        exports = {split: fh.write for split, fh in zip(SPLITS, streams[1:])}
-        for image_id, caption, split in rows:
-            head = (f'{{"image_id": {_ENCODE(image_id)}, '
-                    f'"caption": {_ENCODE(caption)}')
-            if split is None:
-                write(head + "}\n")
-                continue
-            # path takes the row first, so an unencodable row fails there
-            write(f'{head}, "split": {_ENCODE(split)}}}\n')
-            export = exports.get(split)
-            if export is not None:
-                export(head + "}\n")
-
-
-def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
-    """Stream ``chunks`` to ``path`` as UTF-8, replacing the file whole:
-    the one-file case of :func:`_staged`.  Raises IoFailure when the text
-    cannot be written or encoded."""
-    with _staged([path]) as (fh,):
-        fh.writelines(chunks)
+def write_captions(out: TextIO, rows: Iterable[CaptionRow],
+                   exports: dict[str, TextIO] | None = None) -> None:
+    """Write ``(image_id, caption, split)`` rows to ``out``, omitting an
+    unset split; a row whose split is a key of ``exports`` is also written
+    without it to that stream, from the same encoding."""
+    write = out.write
+    exports = {split: fh.write for split, fh in (exports or {}).items()}
+    for image_id, caption, split in rows:
+        head = (f'{{"image_id": {_ENCODE(image_id)}, '
+                f'"caption": {_ENCODE(caption)}')
+        if split is None:
+            write(head + "}\n")
+            continue
+        # out takes the row first, so an unencodable row fails there
+        write(f'{head}, "split": {_ENCODE(split)}}}\n')
+        export = exports.get(split)
+        if export is not None:
+            export(head + "}\n")
 
 
 @contextlib.contextmanager
-def _staged(paths: list[str | Path]) -> Iterator[list[TextIO]]:
+def staged(paths: list[str | Path]) -> Iterator[list[TextIO]]:
     """Open a UTF-8 text stream per path for the block; replace them together.
 
     Each regular target is written to a temporary file beside it; a
@@ -233,14 +217,15 @@ def _staged(paths: list[str | Path]) -> Iterator[list[TextIO]]:
 
     An OSError or UnicodeEncodeError becomes ``IoFailure("cannot write
     <path>: <reason>")`` naming the path being opened, closed or replaced,
-    or the first path for an error raised in the block.  The reason is the
+    or the first path for an error raised in the block; with no path, an
+    error raised in the block passes as it is.  The reason is the
     OSError's ``strerror``, which names no file (an OSError's full text
     names the temporary file, a random name), or else the error's text.
     """
     streams: list[TextIO] = []
-    staged: list[tuple[str | Path, str, str, int | None]] = []
+    temps: list[tuple[str | Path, str, str, int | None]] = []
     renamed = 0
-    path = paths[0]  # the target of the step under way, for the message
+    path = paths[0] if paths else None  # the step's target, for messages
     try:
         try:
             for path in paths:
@@ -256,26 +241,28 @@ def _staged(paths: list[str | Path]) -> Iterator[list[TextIO]]:
                 tmp = os.path.join(directory,
                                    f".{name}.{os.urandom(4).hex()}.tmp")
                 streams.append(open(tmp, "x", encoding="utf-8"))
-                staged.append((path, tmp, target, mode))
-            path = paths[0]
+                temps.append((path, tmp, target, mode))
+            path = paths[0] if paths else None
             yield streams
             for path, fh in zip(paths, streams):
                 fh.close()
             # every mode before any rename, so a failed chmod replaces nothing
-            for path, tmp, _, mode in staged:
+            for path, tmp, _, mode in temps:
                 if mode is not None:
                     os.chmod(tmp, stat.S_IMODE(mode))
-            for path, tmp, target, _ in staged:
+            for path, tmp, target, _ in temps:
                 os.replace(tmp, target)
                 renamed += 1
         except BaseException:
             for fh in streams:
                 with contextlib.suppress(OSError, UnicodeEncodeError):
                     fh.close()
-            for _, tmp, _, _ in staged[renamed:]:
+            for _, tmp, _, _ in temps[renamed:]:
                 with contextlib.suppress(OSError):
                     os.remove(tmp)
             raise
     except (OSError, UnicodeEncodeError) as exc:
+        if path is None:
+            raise
         reason = getattr(exc, "strerror", None) or exc
         raise IoFailure(f"cannot write {path}: {reason}") from exc

@@ -26,6 +26,7 @@ from iconcap import (
     parse_notation,
 )
 from iconcap import captions
+from iconcap.cli import run
 from goldens import CLEANING_PAIRS, normalize_terminal
 from synth import write_corpus
 
@@ -577,3 +578,33 @@ class TestExportJsonl:
         export_jsonl(self._split_records(), first, "train")
         export_jsonl(self._split_records(), second, "train")
         assert first.read_bytes() == second.read_bytes()
+
+    def test_library_writers_write_the_cli_bytes(self, tmp_path):
+        """``write_records_jsonl`` and ``export_jsonl`` write the bytes of
+        ``build --out`` and of ``split --out`` with its exports."""
+        ann, tsv = write_corpus(tmp_path, n_images=60, seed=4)
+        cli, lib = tmp_path / "cli", tmp_path / "lib"
+        for directory in (cli, lib):
+            (directory / "splits").mkdir(parents=True)
+        assert run(["build", "--annotations", str(ann), "--correlates",
+                    str(tsv), "--out", str(cli / "records.jsonl"),
+                    "--quiet"]) == 0
+        assert run(["split", "--in", str(cli / "records.jsonl"),
+                    "--val", "7", "--test", "9", "--seed", "3",
+                    "--out", str(cli / "split.jsonl"),
+                    "--export-dir", str(cli / "splits"), "--quiet"]) == 0
+        records, _ = build_dataset(load_annotations(ann),
+                                   CorrelateStore.from_tsv(tsv))
+        assert captions.write_records_jsonl(
+            records, lib / "records.jsonl") == len(records)
+        records = assign_splits(
+            captions.read_records_jsonl(lib / "records.jsonl"),
+            SplitConfig(seed=3, n_val=7, n_test=9))
+        captions.write_records_jsonl(records, lib / "split.jsonl")
+        for split in ("train", "val", "test"):
+            export_jsonl(records, lib / "splits" / f"{split}.jsonl", split)
+        names = ["records.jsonl", "split.jsonl",
+                 *(f"splits/{split}.jsonl" for split in ("train", "val",
+                                                         "test"))]
+        for name in names:
+            assert (lib / name).read_bytes() == (cli / name).read_bytes()

@@ -343,6 +343,26 @@ class TestMalformedCaptions:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", [
+        "", "\n  \n",
+        '{"image_id": "a", "split": "train"}\n{"image_id": "b", '
+        '"caption": "sea.", "split": "val"}\n',
+    ], ids=["empty", "blank", "records_without_test_rows"])
+    def test_ids_without_a_test_id_names_file(self, tmp_path, capsys,
+                                              content):
+        """Plain ids or caption records that hold no test id exit 1."""
+        train = tmp_path / "train.jsonl"
+        train.write_text('{"image_id": "t", "caption": "sea."}\n')
+        ids = tmp_path / "ids.txt"
+        ids.write_text(content)
+        out = tmp_path / "cands.jsonl"
+        assert run(["baseline", "--train", str(train), "--ids", str(ids),
+                    "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {ids}: no test id" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_repeated_test_id_gets_one_candidate(self, tmp_path, capsys):
         train = tmp_path / "train.jsonl"
         train.write_text('{"image_id": "t", "caption": "sea."}\n')
@@ -635,7 +655,7 @@ class TestFuzzGate:
     @given(_fuzz_cases())
     def test_any_input_exits_cleanly(self, case):
         """Every input file exits 0, 1 or 2 without raising; an exit 1
-        leaves the previous output as it was."""
+        leaves the previous output and report as they were."""
         argv, name, data = case
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
@@ -643,6 +663,7 @@ class TestFuzzGate:
                 (tmp / file_name).write_bytes(content)
             (tmp / "fuzzed").write_bytes(data)
             (tmp / "out").write_bytes(b"old\n")
+            (tmp / "report").write_bytes(b"old report\n")
             args = [str(tmp / "fuzzed") if arg == name else
                     str(tmp / arg) if arg in _FUZZ_FILES or arg == "out"
                     else arg for arg in argv]
@@ -653,10 +674,12 @@ class TestFuzzGate:
                                       errors="backslashreplace")
             with contextlib.redirect_stdout(stdout), \
                     contextlib.redirect_stderr(stderr):
-                status = run([*args, "--quiet"])
+                status = run([*args, "--report", str(tmp / "report"),
+                              "--quiet"])
             assert status in (0, 1, 2)
             if status == 1:
                 assert (tmp / "out").read_bytes() == b"old\n"
+                assert (tmp / "report").read_bytes() == b"old report\n"
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.sampled_from(["", "7", "7(", "73A(+"]),
@@ -1057,7 +1080,7 @@ class TestCollectorPause:
             self, monkeypatch, collector_state, enabled):
         seen = []
 
-        def fail(args):
+        def fail(args, out):
             seen.append(gc.isenabled())
             raise RuntimeError("handler failed")
 
@@ -1079,10 +1102,10 @@ class TestCollectorPause:
 
         build = cli._HANDLERS[("build",)]
 
-        def watched(args):
+        def watched(args, out):
             gc.callbacks.append(on_collection)
             try:
-                return build(args)
+                return build(args, out)
             finally:
                 gc.callbacks.remove(on_collection)
 
@@ -1219,3 +1242,73 @@ class TestFailedSplitChangesNoOutput:
         assert "Traceback" not in err
         assert _tree(work) == before
         assert not [path for path in before if path.endswith(".tmp")]
+
+
+# command: the flags that add outputs to its successful run, and the key
+# of its handler; every output is named under tmp_path
+_FAILED_RUNS = {
+    "build": ([], ("build",)),
+    "split": (["--export-dir", "splits"], ("split",)),
+    "eval": (["--csv", "eval.csv"], ("eval",)),
+    "genres": ([], ("analyze", "genres")),
+}
+
+
+def _seeded_run(tmp_path, command, report):
+    """Arguments of ``command`` with every output and ``report`` under
+    ``tmp_path``, each output pre-seeded with bytes of its own."""
+    argv = _envelope_argv(tmp_path, command)
+    extra, _ = _FAILED_RUNS[command]
+    argv += [name if name.startswith("--") else str(tmp_path / name)
+             for name in extra]
+    outputs = [argv[argv.index(flag) + 1] for flag in ("--out", "--csv")
+               if flag in argv]
+    if "--export-dir" in extra:
+        (tmp_path / "splits").mkdir()
+        outputs += [tmp_path / "splits" / f"{split}.jsonl"
+                    for split in ("train", "val", "test")]
+    for path in outputs:
+        Path(path).write_bytes(f"old {Path(path).name}\n".encode())
+    return [*argv, "--report", str(report), "--quiet"]
+
+
+class TestFailedRunChangesNoOutput:
+    """A run that fails at its report leaves every output as it was."""
+
+    @pytest.mark.parametrize("command", _FAILED_RUNS)
+    def test_report_that_is_a_directory(self, tmp_path, capsys, command):
+        report = tmp_path / "report"
+        report.mkdir()
+        argv = _seeded_run(tmp_path, command, report)
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"cannot write {report}: Is a directory" in err
+        assert "Traceback" not in err
+        assert _tree(tmp_path) == before
+        assert not [path for path in before if path.endswith(".tmp")]
+
+    @pytest.mark.parametrize("command", _FAILED_RUNS)
+    def test_report_that_cannot_be_encoded(self, tmp_path, capsys,
+                                           monkeypatch, command):
+        """The handler has written every output stream when the report
+        write fails."""
+        _, key = _FAILED_RUNS[command]
+        handler = cli._HANDLERS[key]
+
+        def unencodable(args, out):
+            handler(args, out)
+            return {"bad": "\ud800"}
+
+        report = tmp_path / "report.json"
+        report.write_bytes(b"old report\n")
+        argv = _seeded_run(tmp_path, command, report)
+        monkeypatch.setitem(cli._HANDLERS, key, unencodable)
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"cannot write {report}: " in err
+        assert "Traceback" not in err
+        assert _tree(tmp_path) == before

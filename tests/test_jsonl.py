@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from iconcap import DuplicateId, IoFailure, SchemaViolation
 from iconcap.captions import CaptionRecord, export_jsonl
 from iconcap.cli import run
-from iconcap.jsonl import (SPLITS, _echo, read_captions, write_atomic,
-                           write_captions)
+from iconcap.jsonl import SPLITS, _echo, read_captions, staged, write_captions
 from synth import write_corpus
 
 _DECODE = json.JSONDecoder().decode
@@ -269,6 +268,21 @@ class TestReadCaptions:
             outcome(reference_read_captions, path)
 
 
+def _write_captions(path, rows, export_dir=None):
+    """``write_captions`` into a stage of ``path`` and, with
+    ``export_dir``, its three split files."""
+    exports = [] if export_dir is None else \
+        [os.path.join(export_dir, f"{split}.jsonl") for split in SPLITS]
+    with staged([path, *exports]) as (out, *streams):
+        write_captions(out, rows, dict(zip(SPLITS, streams)))
+
+
+def _write(path, *chunks):
+    """Stage ``path`` alone and write ``chunks`` to it."""
+    with staged([path]) as (out,):
+        out.writelines(chunks)
+
+
 class TestWriteCaptions:
     @settings(max_examples=150,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -294,10 +308,10 @@ class TestWriteCaptions:
             data = "".join(expected).encode("utf-8")
         except UnicodeEncodeError:  # a lone surrogate
             with pytest.raises(IoFailure, match="out.jsonl"):
-                write_captions(path, rows)
+                _write_captions(path, rows)
             assert path.read_text() == "old\n"
         else:
-            write_captions(path, rows)
+            _write_captions(path, rows)
             assert path.read_bytes() == data
         assert os.listdir(tmp_path) == ["out.jsonl"]
 
@@ -306,7 +320,7 @@ class TestWriteCaptions:
     @given(st.dictionaries(text, st.tuples(text, st.sampled_from(SPLITS)),
                            max_size=8))
     def test_exports_match_separate_writes(self, tmp_path, drawn):
-        """One pass with ``export_dir`` writes the bytes of the records
+        """One pass with ``exports`` writes the bytes of the records
         file and of three filtered ``export_jsonl`` calls."""
         # non-ASCII text, JSON escapes, every split and an unset one
         drawn.update({"a\u00e9.jpg": ('say "hi" \\ \u2603\t\x01.', "train"),
@@ -318,8 +332,8 @@ class TestWriteCaptions:
         one, apart = tmp_path / "one", tmp_path / "apart"
         for directory in (one, apart):
             (directory / "exp").mkdir(parents=True, exist_ok=True)
-        write_captions(one / "s.jsonl", rows, one / "exp")
-        write_captions(apart / "s.jsonl", rows)
+        _write_captions(one / "s.jsonl", rows, one / "exp")
+        _write_captions(apart / "s.jsonl", rows)
         records = [CaptionRecord(image_id, "", caption, split)
                    for image_id, caption, split in rows]
         for split in SPLITS:
@@ -339,7 +353,7 @@ class TestWriteCaptions:
         for target in targets:
             target.write_text(f"old {target.name}\n")
         with pytest.raises(IoFailure, match="cannot write .*s.jsonl"):
-            write_captions(tmp_path / "s.jsonl", rows, exports)
+            _write_captions(tmp_path / "s.jsonl", rows, exports)
         for target in targets:
             assert target.read_text() == f"old {target.name}\n"
         assert sorted(os.listdir(tmp_path)) == ["exp", "s.jsonl"]
@@ -378,11 +392,13 @@ class TestWriteCaptions:
 
 
 class TestWriteAtomic:
+    """A one-file ``staged`` replaces its target whole."""
+
     def test_replaces_whole_and_keeps_mode(self, tmp_path):
         path = tmp_path / "out.txt"
         path.write_text("old old old\n")
         os.chmod(path, 0o640)
-        write_atomic(path, ["new", "\n"])
+        _write(path, "new", "\n")
         assert path.read_text() == "new\n"
         assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
         assert os.listdir(tmp_path) == ["out.txt"]
@@ -391,7 +407,8 @@ class TestWriteAtomic:
         path = tmp_path / "out.jsonl"
         path.write_text("old\n")
         with pytest.raises(IoFailure, match="out.jsonl"):
-            write_captions(path, [("a", "sea.", None), ("b", "\ud800", None)])
+            _write_captions(path,
+                            [("a", "sea.", None), ("b", "\ud800", None)])
         assert path.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["out.jsonl"]
 
@@ -400,7 +417,7 @@ class TestWriteAtomic:
         target.write_text("old\n")
         link = tmp_path / "link.txt"
         link.symlink_to(target)
-        write_atomic(link, ["new\n"])
+        _write(link, "new\n")
         assert link.is_symlink()
         assert os.readlink(link) == str(target)
         assert target.read_text() == "new\n"
@@ -412,7 +429,7 @@ class TestWriteAtomic:
         # a reader opened first lets the writer's open return at once
         reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
         try:
-            write_atomic(fifo, ["through the pipe\n"])
+            _write(fifo, "through the pipe\n")
             data = os.read(reader, 1024)
         finally:
             os.close(reader)
@@ -420,12 +437,20 @@ class TestWriteAtomic:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert os.listdir(tmp_path) == ["out.fifo"]
 
+    def test_empty_stage_passes_errors_as_they_are(self):
+        """With no path there is nothing to name, so an error raised in
+        the block is not made an IoFailure."""
+        with staged([]) as streams:
+            assert streams == []
+        with pytest.raises(BrokenPipeError), staged([]):
+            raise BrokenPipeError(32, "Broken pipe")
+
     def test_missing_directory_message_names_the_target(self, tmp_path):
         path = tmp_path / "nodir" / "e.csv"
         messages = []
         for _ in range(2):
             with pytest.raises(IoFailure) as caught:
-                write_atomic(path, ["x\n"])
+                _write(path, "x\n")
             messages.append(str(caught.value))
         # the temporary file's random name would differ between the runs
         assert messages[0] == messages[1] == \
@@ -442,7 +467,7 @@ class TestWriteAtomic:
 
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(IoFailure) as caught:
-            write_captions(path, [("a", "sea.", None)])
+            _write_captions(path, [("a", "sea.", None)])
         assert str(caught.value) == \
             f"cannot write {path}: Permission denied"
         assert path.read_text() == "old\n"
