@@ -7,8 +7,10 @@ Every subcommand takes ``--report``, ``--quiet`` and ``--jobs``; the rest
 of its flags are its own (``split --seed`` holds the only randomness).
 Before any input is read, ``run`` lists the run's outputs (``--out``,
 ``--csv``, ``split``'s ``<export-dir>/{train,val,test}.jsonl``, then
-``--report``), refuses two that name one file as a usage error, makes the
-export directory and opens every output in one ``jsonl.staged`` stage.
+``--report``), refuses two that name one file, or one that names the
+export directory, as a usage error, refuses a closed stdout where the run
+prints, makes the export directory and opens every output in one
+``jsonl.staged`` stage.
 The handler writes into the open streams and returns its report payload,
 which ``run`` writes last as one envelope of the tool version and the
 resolved configuration; no output is replaced until all are written.
@@ -22,6 +24,7 @@ state on entry is restored however the run ends.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -195,6 +198,13 @@ def _print(text: str, stream: TextIO | None = None, name: str = "") -> None:
         raise IoFailure(f"cannot write {name}: {exc}") from exc
 
 
+def _error(command: str, message: object) -> None:
+    """Write the run's error line to stderr; a stderr that is closed or
+    fails takes nothing, as in argparse, and the exit code alone tells."""
+    with contextlib.suppress(AttributeError, OSError, ValueError):
+        sys.stderr.write(f"iconcap {command}: error: {message}\n")
+
+
 def _envelope(args: argparse.Namespace, payload: dict[str, object]) -> str:
     """The report: the tool version, the parsed flags and ``payload``;
     argv text that is not UTF-8 is backslash-escaped so it stays UTF-8."""
@@ -322,25 +332,32 @@ def _cmd_baseline(args: argparse.Namespace, out: Outputs) -> dict[str, object]:
     return {"candidates": len(pairs)}
 
 
-def _shared_output(outputs: dict[str, str]) -> str | None:
-    """A message if two of the run's ``outputs`` name one file, else None.
+def _shared_output(outputs: dict[str, str],
+                   export_dir: str | None) -> str | None:
+    """A message if two of the run's ``outputs`` name one file, or one
+    names ``export_dir`` itself, else None.
 
     All are staged together, so one rename would overwrite another.  A
     target that exists but is not a regular file is written in place by
     ``staged``, so outputs may share it.
     """
+    directory = export_dir and os.path.realpath(export_dir)
     seen: dict[str, str] = {}
     for name, path in outputs.items():
-        if os.path.exists(path) and not os.path.isfile(path):
-            continue
         flag = "--export-dir" if name in SPLITS else f"--{name}"
         target = os.path.realpath(path)
+        if target == directory:
+            return f"{flag} and --export-dir name the same path: {path}"
+        if os.path.exists(path) and not os.path.isfile(path):
+            continue
         if target in seen:
             return f"{seen[target]} and {flag} name the same file: {path}"
         seen[target] = flag
     return None
 
 
+# the handlers that print their document to stdout
+_PRINTS = {("parse",), ("analyze", "lengths")}
 _HANDLERS = {
     ("parse",): _cmd_parse,
     ("build",): _cmd_build,
@@ -370,11 +387,15 @@ def run(argv: list[str] | None = None) -> int:
                        for split in SPLITS)
     if args.report:
         outputs["report"] = args.report
-    shared = _shared_output(outputs)
+    shared = _shared_output(outputs, export_dir)
     if shared:
-        print(f"iconcap {args.command}: error: {shared}", file=sys.stderr)
+        _error(args.command, shared)
         return 2
     try:
+        # print() to a closed stdout (None) would write nothing and succeed
+        if sys.stdout is None and (key in _PRINTS or key == ("eval",)
+                                   and not args.report):
+            raise IoFailure("cannot write standard output")
         if export_dir:
             try:
                 os.makedirs(export_dir, exist_ok=True)
@@ -390,7 +411,7 @@ def run(argv: list[str] | None = None) -> int:
         if not args.report:
             _print(text, sys.stdout if args.command == "eval" else sys.stderr)
     except (IconcapError, OSError) as exc:
-        print(f"iconcap {args.command}: error: {exc}", file=sys.stderr)
+        _error(args.command, exc)
         return 1
     return 0
 

@@ -2,11 +2,14 @@
 
 import argparse
 import contextlib
+import csv
+import errno
 import gc
 import io
 import json
 import os
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,8 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iconcap import cli
+from iconcap import (
+    CleaningConfig,
+    CorrelateStore,
+    build_dataset,
+    cli,
+    load_annotations,
+)
 from iconcap.analysis import load_genre_csv
+from iconcap.captions import caption_rows
 from iconcap.cli import run
 from synth import write_corpus
 
@@ -31,6 +41,22 @@ class TestExitCodes:
     def test_parse_malformed_is_domain_error(self, capsys):
         assert run(["parse", "73("]) == 1
         assert "offset" in capsys.readouterr().err
+
+    def test_parse_nested_group_names_the_inner_parenthesis(self, capsys):
+        assert run(["parse", "7(("]) == 1
+        assert capsys.readouterr().err == \
+            "iconcap parse: error: nested parenthesis (byte offset 2)\n"
+
+    @pytest.mark.parametrize("code", ["73A(+1)", "7 3A (+1)"])
+    def test_parse_stdout_holds_the_notation_only(self, tmp_path, capsys,
+                                                  code):
+        """Whitespace outside groups merges runs; with --report the
+        notation is all that goes to stdout."""
+        report = tmp_path / "parse.json"
+        assert run(["parse", code, "--quiet", "--report", str(report)]) == 0
+        assert capsys.readouterr() == (
+            '{"base": ["73", "A"], "keys": ["1"], "qualifiers": []}\n', "")
+        assert json.loads(report.read_text())["config"]["code"] == code
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -522,6 +548,76 @@ class TestCorrelateForm:
             capsys.readouterr().err
 
 
+class TestBuildOptions:
+    def test_every_cleaning_option_at_once(self, tmp_path):
+        """--parent-fallback, --keep-etc, --no-dedup and two --stoplist
+        tokens build what the library builds with the same settings."""
+        ann, tsv = write_corpus(tmp_path, n_images=50)
+        # one more image, kept only through its parent and cleaned only by
+        # the second stoplist token
+        ann.write_text(json.dumps({**json.loads(ann.read_text()),
+                                   "extra.jpg": ["98Z1(+1)"]}))
+        with tsv.open("a") as fh:
+            fh.write("98Z1\tking - E - queen\n")
+        out = tmp_path / "options.jsonl"
+        report = tmp_path / "report.json"
+        assert run(["build", "--annotations", str(ann), "--correlates",
+                    str(tsv), "--out", str(out), "--parent-fallback",
+                    "--keep-etc", "--no-dedup", "--stoplist", "BB",
+                    "--stoplist", "E", "--quiet",
+                    "--report", str(report)]) == 0
+        records, _ = build_dataset(
+            load_annotations(ann), CorrelateStore.from_tsv(tsv),
+            CleaningConfig(uppercase_stoplist=("BB", "E"), drop_etc=False,
+                           dedup=False),
+            parent_fallback=True)
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert rows == [{"image_id": image_id, "caption": caption}
+                        for image_id, caption, _ in caption_rows(records)]
+        assert len(rows) == 51
+        assert any("etc." in row["caption"] for row in rows)
+        assert {"image_id": "extra.jpg", "caption": "king, queen."} in rows
+        config = json.loads(report.read_text())["config"]
+        assert (config["parent_fallback"], config["keep_etc"],
+                config["no_dedup"], config["stoplist"]) == \
+            (True, True, True, ["BB", "E"])
+
+    def test_parent_fallback_counts_what_it_cannot_resolve(self, tmp_path):
+        """A code resolves through its nearest ancestor in the table; a
+        malformed code and one without a root in it are unresolved, and
+        their images are dropped."""
+        tsv = tmp_path / "fallback.tsv"
+        tsv.write_text("73\tsea\n7\tbible\n")
+        ann = tmp_path / "fallback.json"
+        ann.write_text(json.dumps({"a.jpg": ["73A(ROSE)(+1)"],
+                                   "b.jpg": ["7(++1)"], "c.jpg": ["8"],
+                                   "d.jpg": ["7 3"]}))
+        out = tmp_path / "fallback.jsonl"
+        report = tmp_path / "report.json"
+        assert run(["build", "--annotations", str(ann), "--correlates",
+                    str(tsv), "--out", str(out), "--parent-fallback",
+                    "--quiet", "--report", str(report)]) == 0
+        assert out.read_text() == ('{"image_id": "a.jpg", "caption": "sea."}\n'
+                                   '{"image_id": "d.jpg", "caption": "sea."}\n')
+        counts = json.loads(report.read_text())
+        assert [counts[key] for key in ("input", "kept", "dropped_empty",
+                                        "unresolved_codes")] == [4, 2, 2, 2]
+
+    def test_conflicting_correlates_name_the_second_line(self, tmp_path,
+                                                         capsys):
+        """Two keys for one notation with different texts exit 1."""
+        ann, _ = write_corpus(tmp_path, n_images=3)
+        tsv = tmp_path / "conflict.tsv"
+        tsv.write_text("73\tsea\n 73\tship\n")
+        out = tmp_path / "conflict.jsonl"
+        assert run(["build", "--annotations", str(ann), "--correlates",
+                    str(tsv), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"iconcap build: error: {tsv}: line 2: correlate 'ship' for "
+            f"' 73' conflicts with 'sea', given earlier for '73'\n")
+        assert not out.exists()
+
+
 class TestByteOrderMark:
     """A leading UTF-8 BOM is skipped: each input reads as its twin
     without one."""
@@ -790,15 +886,19 @@ class TestPipeline:
                      "splits/test.jsonl"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
-    def test_jobs_do_not_change_outputs(self, tmp_path):
-        ann, tsv = write_corpus(tmp_path, n_images=30, seed=5)
-        serial = tmp_path / "serial.jsonl"
-        parallel = tmp_path / "parallel.jsonl"
-        for out, jobs in ((serial, "1"), (parallel, "2")):
-            assert run(["build", "--annotations", str(ann),
-                        "--correlates", str(tsv), "--out", str(out),
-                        "--jobs", jobs, "--quiet"]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
+    @pytest.mark.parametrize("command", ["build", "split", "genres",
+                                         "genres_whole", "lengths"])
+    def test_jobs_do_not_change_outputs(self, tmp_path, capsys, command):
+        """--jobs 2 leaves every file and stdout as --jobs 1 does."""
+        argv = _envelope_argv(tmp_path, command.split("_")[0])
+        argv += {"split": ["--export-dir", str(tmp_path / "splits")],
+                 "genres_whole": ["--unit", "whole_caption"]}.get(command, [])
+        found = []
+        for jobs in ("1", "2"):
+            capsys.readouterr()
+            assert run([*argv, "--jobs", jobs, "--quiet"]) == 0
+            found.append((capsys.readouterr().out, _tree(tmp_path)))
+        assert found[0] == found[1]
 
 
 def _envelope_argv(tmp_path, command):
@@ -927,6 +1027,22 @@ class TestAnalyze:
         assert lines[0] == "phrase,marine"
         assert "sea,2" in lines
 
+    def test_genres_whole_caption_unit(self, tmp_path):
+        captions = tmp_path / "caps.jsonl"
+        captions.write_text(
+            '{"image_id": "a", "caption": "sea, ship."}\n'
+            '{"image_id": "b", "caption": "sea, ship."}\n'
+            '{"image_id": "c", "caption": "sea."}\n'
+        )
+        genres = tmp_path / "genres.csv"
+        genres.write_text("image_id,genre\na,marine\nb,marine\nc,portrait\n")
+        out = tmp_path / "dist.csv"
+        assert run(["analyze", "genres", "--captions", str(captions),
+                    "--genres", str(genres), "--unit", "whole_caption",
+                    "--out", str(out), "--quiet"]) == 0
+        assert out.read_text() == \
+            'phrase,marine,portrait\n"sea, ship.",2,0\nsea.,0,1\n'
+
     def test_genres_not_utf8_is_domain_error(self, tmp_path, capsys):
         captions = tmp_path / "caps.jsonl"
         captions.write_text('{"image_id": "a", "caption": "sea."}\n')
@@ -1003,6 +1119,20 @@ class TestEvalPresentation:
         refs.write_text('{"image_id": "a", "caption": "sea ship boat."}\n')
         return cands, refs
 
+    def _shared_files(self, tmp_path):
+        """Two ids that share a candidate and a reference, one written
+        with other case and punctuation, and a third id."""
+        cands = tmp_path / "cands.jsonl"
+        cands.write_text('{"image_id": "a", "caption": "The sea, a ship."}\n'
+                         '{"image_id": "b", "caption": "the SEA a ship"}\n'
+                         '{"image_id": "c", "caption": "a king"}\n')
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text('{"image_id": "a", "caption": "A ship on the sea."}\n'
+                        '{"image_id": "b", "caption": "a SHIP, on the sea"}\n'
+                        '{"image_id": "c", "caption": "the king in a palace"}'
+                        '\n')
+        return cands, refs
+
     def test_x100_scales_scores(self, tmp_path, capsys):
         cands, refs = self._files(tmp_path)
         assert run(["eval", "--candidates", str(cands),
@@ -1014,6 +1144,32 @@ class TestEvalPresentation:
         assert scaled["corpus"]["rouge_l"] == pytest.approx(
             natural["corpus"]["rouge_l"] * 100
         )
+
+    def test_x100_scales_every_csv_score(self, tmp_path):
+        cands, refs = self._shared_files(tmp_path)
+        tables = []
+        for name, flags in (("plain.csv", []), ("scaled.csv", ["--x100"])):
+            assert run(["eval", "--candidates", str(cands), "--references",
+                        str(refs), "--csv", str(tmp_path / name), *flags,
+                        "--report", str(tmp_path / "report.json"),
+                        "--quiet"]) == 0
+            tables.append(list(csv.reader(
+                (tmp_path / name).read_text().splitlines())))
+        plain, scaled = tables
+        assert plain[0] == scaled[0] and len(plain) == len(scaled) == 4
+        for row, scaled_row in zip(plain[1:], scaled[1:]):
+            assert row[0] == scaled_row[0]
+            assert [float(score) * 100 for score in row[1:]] == \
+                [float(score) for score in scaled_row[1:]]
+
+    def test_shared_candidate_gets_equal_csv_scores(self, tmp_path, capsys):
+        cands, refs = self._shared_files(tmp_path)
+        path = tmp_path / "eval.csv"
+        assert run(["eval", "--candidates", str(cands), "--references",
+                    str(refs), "--csv", str(path), "--quiet"]) == 0
+        rows = list(csv.reader(path.read_text().splitlines()))
+        assert [row[0] for row in rows[1:]] == ["a", "b", "c"]
+        assert rows[1][1:] == rows[2][1:] != rows[3][1:]
 
     def test_unencodable_id_on_stdout_is_domain_error(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"
@@ -1035,13 +1191,16 @@ class TestEvalPresentation:
         assert len(lines) == 2
 
     def test_unwritable_csv_writes_no_report(self, tmp_path, capsys):
+        """The message names the CSV, not the temporary file beside it."""
         cands, refs = self._files(tmp_path)
         path = tmp_path / "report.json"
+        csv_path = tmp_path / "missing" / "report.csv"
         assert run(["eval", "--candidates", str(cands),
                     "--references", str(refs), "--report", str(path),
-                    "--csv", str(tmp_path / "missing" / "report.csv"),
-                    "--quiet"]) == 1
-        assert "cannot write" in capsys.readouterr().err
+                    "--csv", str(csv_path), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"iconcap eval: error: cannot write {csv_path}: "
+            f"No such file or directory\n")
         assert not path.exists()
 
 
@@ -1186,6 +1345,26 @@ class TestSharedOutput:
         assert {p: p.read_bytes() for p in tmp_path.rglob("*")
                 if p.is_file()} == before
 
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    @pytest.mark.parametrize("exists", [False, True],
+                             ids=["new_dir", "existing_dir"])
+    def test_output_naming_the_export_dir_is_usage_error(
+            self, tmp_path, capsys, flag, exists):
+        """Exit 2 naming both flags, before the directory is made."""
+        argv = _envelope_argv(tmp_path, "split")
+        export_dir = tmp_path / "splits"
+        if exists:
+            export_dir.mkdir()
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        argv += ["--export-dir", str(export_dir), flag,
+                 str(export_dir / ".." / "splits")]
+        assert run([*argv, "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"iconcap split: error: {flag} and --export-dir name the same "
+            f"path: {export_dir / '..' / 'splits'}\n")
+        assert _tree(tmp_path) == before
+
     @pytest.mark.skipif(not os.path.exists(os.devnull),
                         reason="no null device")
     def test_outputs_may_share_a_non_regular_file(self, tmp_path, capsys):
@@ -1312,3 +1491,59 @@ class TestFailedRunChangesNoOutput:
         assert f"cannot write {report}: " in err
         assert "Traceback" not in err
         assert _tree(tmp_path) == before
+
+
+class _ClosedStream(io.StringIO):
+    """A stream whose file descriptor is closed, as stderr after ``2>&-``."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
+class TestClosedStreams:
+    @pytest.mark.parametrize("command", ["parse", "lengths", "eval"])
+    def test_closed_stdout_is_domain_error(self, tmp_path, capsys,
+                                           monkeypatch, command):
+        """A run that prints to a closed stdout (``>&-``, where sys.stdout
+        is None) exits 1 before any output is opened: eval's CSV keeps its
+        bytes."""
+        argv = _envelope_argv(tmp_path, command)
+        if command == "eval":
+            argv += ["--csv", str(tmp_path / "eval.csv")]
+            (tmp_path / "eval.csv").write_bytes(b"old\n")
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", None)
+        assert run([*argv, "--quiet"]) == 1
+        assert capsys.readouterr().err == \
+            f"iconcap {argv[0]}: error: cannot write standard output\n"
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("command", ["build", "eval"])
+    def test_closed_stdout_unused_by_the_run(self, tmp_path, capsys,
+                                             monkeypatch, command):
+        """A run with nothing for stdout succeeds with it closed: eval
+        with --report, build always."""
+        report = tmp_path / "report.json"
+        argv = [*_envelope_argv(tmp_path, command), "--quiet",
+                "--report", str(report)]
+        monkeypatch.setattr(sys, "stdout", None)
+        assert run(argv) == 0
+        assert json.loads(report.read_text())["config"]["command"] == command
+
+    @pytest.mark.parametrize("stderr", [None, _ClosedStream()],
+                             ids=["none", "closed_fd"])
+    @pytest.mark.parametrize("outcome", ["domain", "usage"])
+    def test_unwritable_error_line_keeps_the_exit_code(
+            self, tmp_path, capsys, monkeypatch, stderr, outcome):
+        """An error line that stderr cannot take is dropped, not raised
+        and not printed to stdout."""
+        argv, status = {
+            "domain": (["parse", "7(("], 1),
+            "usage": (["split", "--in", str(tmp_path / "in.jsonl"), "--val",
+                       "0", "--test", "0", "--out", str(tmp_path / "a"),
+                       "--report", str(tmp_path / "a")], 2),
+        }[outcome]
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert run(argv) == status
+        assert capsys.readouterr().out == ""
