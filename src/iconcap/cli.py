@@ -2,23 +2,23 @@
 
 Subcommands: ``parse``, ``build``, ``split``, ``eval``, ``analyze``,
 ``baseline``.  Exit codes: 0 success, 1 domain error, 2 usage error.
-All logs go to standard error; primary outputs go to files or stdout.
-Every subcommand takes ``--report``, ``--quiet`` and ``--jobs``; the rest
-of its flags are its own (``split --seed`` holds the only randomness).
-Before any input is read, ``run`` lists the run's outputs (``--out``,
-``--csv``, ``split``'s ``<export-dir>/{train,val,test}.jsonl``, then
-``--report``), refuses two that name one file, or one that names the
-export directory, as a usage error, refuses a closed stdout where the run
-prints, makes the export directory and opens every output in one
-``jsonl.staged`` stage.
-The handler writes into the open streams and returns its report payload,
-which ``run`` writes last as one envelope of the tool version and the
-resolved configuration; no output is replaced until all are written.
-Without ``--report`` the envelope goes to stdout (eval) or stderr (the
-rest) once they are, so a failed run writes no report.  Every stdout
-document leaves through ``_print``.  The stage runs with the cyclic
-collector paused (``collector_paused``, process-wide), and the collector's
-state on entry is restored however the run ends.
+Logs go to stderr; primary outputs go to files or stdout.  Every
+subcommand takes ``--report``, ``--quiet`` and ``--jobs``; the rest of its
+flags are its own (``split --seed`` holds the only randomness).  Before
+any input is read, ``run`` lists the run's outputs (``--out``, ``--csv``,
+``split``'s ``<export-dir>/{train,val,test}.jsonl``, then ``--report``),
+refuses two that name one file, or one that names the export directory,
+as a usage error, makes the export directory and opens every output in
+one ``jsonl.staged`` stage.  The handler writes into the open streams and
+returns its report payload, which ``run`` writes last, still in the
+stage, as one envelope of the tool version and the resolved
+configuration: to ``--report``, else to stdout (eval) or stderr (the
+rest).  So every write of a run happens before any output is renamed.
+``_print`` writes stdout documents and the report file and fails the run
+naming the stream it cannot write; ``_stderr`` writes every stderr line
+and drops what stderr refuses.  The stage runs with the cyclic collector
+paused (``collector_paused``, process-wide), and the collector's state on
+entry is restored however the run ends.
 """
 
 from __future__ import annotations
@@ -181,28 +181,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stderr(line: str) -> None:
+    """Write ``line`` to stderr; a stderr that is closed (None) or fails
+    takes nothing, as in argparse, and the exit code alone tells."""
+    with contextlib.suppress(AttributeError, OSError, ValueError):
+        sys.stderr.write(line + "\n")
+
+
 def _log(args: argparse.Namespace, message: str) -> None:
     if not args.quiet:
-        print(message, file=sys.stderr)
+        _stderr(message)
 
 
-def _print(text: str, stream: TextIO | None = None, name: str = "") -> None:
-    """Print to ``stream`` (stdout); an unencodable character is IoFailure
-    naming ``name``, by default the standard stream."""
+def _print(text: str, stream: TextIO | None = None,
+           name: str = "standard output") -> None:
+    """Write ``text`` and a newline to ``stream`` (stdout) and flush it; a
+    closed stdout (None) or a failed write is IoFailure naming ``name``."""
     stream = stream or sys.stdout
+    if stream is None:  # stdout was closed at start-up (``>&-``)
+        raise IoFailure(f"cannot write {name}")
     try:
-        print(text, file=stream)
-    except UnicodeEncodeError as exc:
-        name = name or "standard " + ("error" if stream is sys.stderr
-                                      else "output")
+        stream.write(text + "\n")
+        stream.flush()
+    except (OSError, UnicodeEncodeError) as exc:
         raise IoFailure(f"cannot write {name}: {exc}") from exc
-
-
-def _error(command: str, message: object) -> None:
-    """Write the run's error line to stderr; a stderr that is closed or
-    fails takes nothing, as in argparse, and the exit code alone tells."""
-    with contextlib.suppress(AttributeError, OSError, ValueError):
-        sys.stderr.write(f"iconcap {command}: error: {message}\n")
 
 
 def _envelope(args: argparse.Namespace, payload: dict[str, object]) -> str:
@@ -356,8 +358,6 @@ def _shared_output(outputs: dict[str, str],
     return None
 
 
-# the handlers that print their document to stdout
-_PRINTS = {("parse",), ("analyze", "lengths")}
 _HANDLERS = {
     ("parse",): _cmd_parse,
     ("build",): _cmd_build,
@@ -389,13 +389,9 @@ def run(argv: list[str] | None = None) -> int:
         outputs["report"] = args.report
     shared = _shared_output(outputs, export_dir)
     if shared:
-        _error(args.command, shared)
+        _stderr(f"iconcap {args.command}: error: {shared}")
         return 2
     try:
-        # print() to a closed stdout (None) would write nothing and succeed
-        if sys.stdout is None and (key in _PRINTS or key == ("eval",)
-                                   and not args.report):
-            raise IoFailure("cannot write standard output")
         if export_dir:
             try:
                 os.makedirs(export_dir, exist_ok=True)
@@ -406,12 +402,15 @@ def run(argv: list[str] | None = None) -> int:
         with collector_paused(), staged(list(outputs.values())) as streams:
             out = dict(zip(outputs, streams))
             text = _envelope(args, _HANDLERS[key](args, out))
-            if args.report:  # last, so a failed report replaces no output
+            # last and in the stage, so a failed report replaces no output
+            if args.report:
                 _print(text, out["report"], args.report)
-        if not args.report:
-            _print(text, sys.stdout if args.command == "eval" else sys.stderr)
+            elif args.command == "eval":
+                _print(text)
+            else:
+                _stderr(text)
     except (IconcapError, OSError) as exc:
-        _error(args.command, exc)
+        _stderr(f"iconcap {args.command}: error: {exc}")
         return 1
     return 0
 

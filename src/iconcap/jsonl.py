@@ -26,8 +26,10 @@ read is an IoFailure naming the file.  Every file it writes goes through
 :func:`staged`, which writes each of a set of outputs to a temporary file
 beside it and renames them into place only after all are written.  The
 command line stages all of a run's outputs, its report included, as one
-set, so a failed run leaves every output as it was and no temporary file
-behind.  :func:`write_captions` writes caption rows to open streams.  Not
+set and writes stdout and stderr inside the stage too, so a failed run
+leaves every output as it was and no temporary file behind, and nothing
+is written after a rename.  :func:`write_captions` writes caption rows to
+open streams.  Not
 covered: a crash between two renames leaves some outputs replaced;
 nothing is ``fsync``ed; a target that is not a regular file is written in
 place as the run goes.

@@ -1,8 +1,8 @@
 """The package API the benchmark harness in ``perfbench/`` calls.
 
 The harness is kept fixed while the package changes, so a removal from
-the package must not break it.  These checks read the harness source and
-never run a replay.
+the package must not break it.  These checks read the harness source, or
+import it, and never run a replay.
 """
 
 import ast
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from iconcap import CleaningConfig, CorrelateStore, build_dataset
+from iconcap import CleaningConfig, CorrelateStore, build_dataset, cli
 from iconcap.metrics import EvalConfig, MetricReport
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -47,3 +47,22 @@ def test_called_members_remain():
                                     parent_fallback=False, jobs=1)
     assert records == [] and report.input == 0
     assert EvalConfig(jobs=1).max_n == 4
+
+
+@pytest.mark.parametrize("name", ["paper_pipeline", "eval_diverse"])
+def test_stage_argv_parses(monkeypatch, tmp_path, name):
+    """Every command line the harness builds for a workload parses."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    inputs = {key: tmp_path / key
+              for key in ("annotations", "correlates", "genres", "candidates")}
+    stages = workloads.stage_argv(workloads.WORKLOADS[name], inputs,
+                                  tmp_path / "out", workloads.JOBS)
+    invocations = [argv for stage in stages.values() for argv in stage]
+    assert len(invocations) == 6
+    parser = cli._build_parser()
+    for argv in invocations:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"iconcap cannot parse the harness's {argv}")

@@ -1500,12 +1500,19 @@ class _ClosedStream(io.StringIO):
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
 
 
+class _FullStream(io.StringIO):
+    """A stream on a full device, as stdout after ``> /dev/full``."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 class TestClosedStreams:
     @pytest.mark.parametrize("command", ["parse", "lengths", "eval"])
     def test_closed_stdout_is_domain_error(self, tmp_path, capsys,
                                            monkeypatch, command):
         """A run that prints to a closed stdout (``>&-``, where sys.stdout
-        is None) exits 1 before any output is opened: eval's CSV keeps its
+        is None) exits 1 and replaces no output: eval's CSV keeps its
         bytes."""
         argv = _envelope_argv(tmp_path, command)
         if command == "eval":
@@ -1547,3 +1554,71 @@ class TestClosedStreams:
         monkeypatch.setattr(sys, "stderr", stderr)
         assert run(argv) == status
         assert capsys.readouterr().out == ""
+
+    def test_closed_stderr_keeps_a_logging_build(self, tmp_path, capsys,
+                                                 monkeypatch):
+        """Logs that stderr cannot take (``2>&-``) are dropped; the build
+        succeeds and replaces --out."""
+        argv = _envelope_argv(tmp_path, "build")
+        records = tmp_path / "records.jsonl"
+        built = records.read_bytes()
+        records.write_bytes(b"old\n")
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stderr", _ClosedStream())
+        assert run(argv) == 0
+        assert capsys.readouterr().out == ""
+        assert _tree(tmp_path) == {**before, "records.jsonl": built}
+
+    def test_no_stderr_keeps_logs_off_stdout(self, tmp_path, capsys,
+                                             monkeypatch):
+        """With no stderr (None, as CPython sets it when fd 2 is invalid
+        at start-up), eval's logs are dropped and stdout holds only the
+        report."""
+        argv = _envelope_argv(tmp_path, "eval")
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stderr", None)
+        assert run(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["command"] == "eval"
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("stderr", [_ClosedStream, _FullStream],
+                             ids=["closed_fd", "full"])
+    @pytest.mark.parametrize("command", ["build", "parse"])
+    def test_unwritable_stderr_report_keeps_the_exit_code(
+            self, tmp_path, capsys, monkeypatch, stderr, command):
+        """A default report that stderr cannot take (``2>&-``,
+        ``2>/dev/full``) is dropped and the run succeeds: build replaces
+        --out, parse prints its notation."""
+        argv = _envelope_argv(tmp_path, command)
+        expected = _tree(tmp_path)
+        if command == "build":
+            (tmp_path / "records.jsonl").write_bytes(b"old\n")
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stderr", stderr())
+        assert run([*argv, "--quiet"]) == 0
+        assert capsys.readouterr().out == (
+            "" if command == "build" else
+            '{"base": ["73", "A"], "keys": ["1"], "qualifiers": []}\n')
+        assert _tree(tmp_path) == expected
+
+    @pytest.mark.parametrize("command, flag, name", [
+        ("eval", "--csv", "eval.csv"),
+        ("lengths", "--report", "report.json"),
+    ])
+    def test_full_stdout_is_domain_error(self, tmp_path, capsys, monkeypatch,
+                                         command, flag, name):
+        """A stdout write that fails (``> /dev/full``) exits 1 naming
+        standard output, not an output file, and replaces no output."""
+        argv = [*_envelope_argv(tmp_path, command), flag, str(tmp_path / name)]
+        (tmp_path / name).write_bytes(b"old\n")
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", _FullStream())
+        assert run([*argv, "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"iconcap {argv[0]}: error: cannot write standard output: "
+            f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+        assert _tree(tmp_path) == before
