@@ -2,23 +2,19 @@
 
 Subcommands: ``parse``, ``build``, ``split``, ``eval``, ``analyze``,
 ``baseline``.  Exit codes: 0 success, 1 domain error, 2 usage error.
-Logs go to stderr; primary outputs go to files or stdout.  Every
-subcommand takes ``--report``, ``--quiet`` and ``--jobs``; the rest of its
-flags are its own (``split --seed`` holds the only randomness).  Before
-any input is read, ``run`` lists the run's outputs (``--out``, ``--csv``,
-``split``'s ``<export-dir>/{train,val,test}.jsonl``, then ``--report``),
-refuses two that name one file, or one that names the export directory,
-as a usage error, makes the export directory and opens every output in
-one ``jsonl.staged`` stage.  The handler writes into the open streams and
-returns its report payload, which ``run`` writes last, still in the
-stage, as one envelope of the tool version and the resolved
-configuration: to ``--report``, else to stdout (eval) or stderr (the
-rest).  So every write of a run happens before any output is renamed.
-``_print`` writes stdout documents and the report file and fails the run
-naming the stream it cannot write; ``_stderr`` writes every stderr line
-and drops what stderr refuses.  The stage runs with the cyclic collector
-paused (``collector_paused``, process-wide), and the collector's state on
-entry is restored however the run ends.
+Every subcommand takes ``--report``, ``--quiet`` and ``--jobs``; the rest
+of its flags are its own (``split --seed`` holds the only randomness).
+Before any input is read, ``run`` lists the run's outputs (``--out``,
+``--csv``, ``split``'s ``<export-dir>/{train,val,test}.jsonl``, then
+``--report``), refuses two that name one file, or one that names the
+export directory, as a usage error, makes the export directory and opens
+every output in one ``jsonl.staged`` stage, with the cyclic collector
+paused.  There the handler writes the outputs and returns its report,
+which ``run`` writes last in an envelope of the tool version and the
+flags: to ``--report``, else stdout (eval) or stderr (the rest).  So a
+run writes nothing after an output is renamed.  ``_print`` fails the run
+naming the stream it cannot write; ``_stderr`` drops what stderr refuses,
+as ``main`` drops at exit what either standard stream refused.
 """
 
 from __future__ import annotations
@@ -182,8 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _stderr(line: str) -> None:
-    """Write ``line`` to stderr; a stderr that is closed (None) or fails
-    takes nothing, as in argparse, and the exit code alone tells."""
+    """Write ``line`` to stderr, or nothing if it is closed or fails."""
     with contextlib.suppress(AttributeError, OSError, ValueError):
         sys.stderr.write(line + "\n")
 
@@ -402,8 +397,7 @@ def run(argv: list[str] | None = None) -> int:
         with collector_paused(), staged(list(outputs.values())) as streams:
             out = dict(zip(outputs, streams))
             text = _envelope(args, _HANDLERS[key](args, out))
-            # last and in the stage, so a failed report replaces no output
-            if args.report:
+            if args.report:  # last, so a failed report replaces no output
                 _print(text, out["report"], args.report)
             elif args.command == "eval":
                 _print(text)
@@ -416,7 +410,13 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    status = run(sys.argv[1:])
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.flush()
+        except OSError:  # its refused bytes would fail the exit flush (120)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -1622,3 +1623,82 @@ class TestClosedStreams:
             f"iconcap {argv[0]}: error: cannot write standard output: "
             f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
         assert _tree(tmp_path) == before
+
+    def test_failed_rename_after_the_report(self, tmp_path, capsys,
+                                            monkeypatch):
+        """eval's default report is written in the stage, so a rename that
+        then fails exits 1 with the whole report on stdout: the exit code,
+        not the report, tells success."""
+        argv = [*_envelope_argv(tmp_path, "eval"),
+                "--csv", str(tmp_path / "eval.csv"), "--quiet"]
+        (tmp_path / "eval.csv").write_bytes(b"old\n")
+        before = _tree(tmp_path)
+        capsys.readouterr()
+
+        def refuse(src, dst):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["config"]["command"] == "eval"
+        assert err == (f"iconcap eval: error: cannot write "
+                       f"{tmp_path / 'eval.csv'}: {os.strerror(errno.EACCES)}\n")
+        assert _tree(tmp_path) == before
+
+
+def _process(argv, stdout, stderr_closed=False, stderr=subprocess.PIPE):
+    """Run ``iconcap argv`` as a new process with buffered standard
+    streams, as a shell runs it; ``stderr_closed`` runs it with ``2>&-``."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    package = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package, env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "iconcap.cli", *argv]
+    if stderr_closed:
+        command = ["sh", "-c", 'exec "$@" 2>&-', "sh", *command]
+        stderr = None
+    return subprocess.run(command, stdout=stdout, stderr=stderr, env=env)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+class TestRealStandardStreams:
+    """What a buffered standard stream of a real process shows: a write it
+    refused stays in its buffer, and the flush at exit must not retry it
+    and turn the exit code into 120."""
+
+    @pytest.mark.parametrize("command, flag, name", [
+        ("eval", "--csv", "eval.csv"),
+        ("parse", None, None),
+    ])
+    def test_full_stdout_exits_1(self, tmp_path, command, flag, name):
+        argv = [*_envelope_argv(tmp_path, command), "--quiet"]
+        if flag:
+            argv += [flag, str(tmp_path / name)]
+            (tmp_path / name).write_bytes(b"old\n")
+        before = _tree(tmp_path)
+        with open("/dev/full", "w") as full:
+            done = _process(argv, full)
+        assert done.returncode == 1
+        assert done.stderr.decode() == (
+            f"iconcap {command}: error: cannot write standard output: "
+            f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("quiet", [True, False], ids=["quiet", "logs"])
+    @pytest.mark.parametrize("closed", [False, True], ids=["full", "closed"])
+    def test_unwritable_stderr_keeps_a_build(self, tmp_path, quiet, closed):
+        """``build 2>/dev/full`` and ``build 2>&-`` exit 0 and replace
+        --out, with or without logs; stdout stays empty."""
+        argv = _envelope_argv(tmp_path, "build")
+        records = tmp_path / "records.jsonl"
+        built = records.read_bytes()
+        records.write_bytes(b"old\n")
+        with open("/dev/full", "w") as full:
+            done = _process([*argv, "--quiet"] if quiet else argv,
+                            subprocess.PIPE, stderr_closed=closed,
+                            stderr=full)
+        assert done.returncode == 0
+        assert done.stdout == b""
+        assert records.read_bytes() == built
