@@ -9,6 +9,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from iconcap import (
     CleaningConfig,
     CorrelateStore,
+    __version__,
     build_dataset,
     cli,
     load_annotations,
@@ -58,6 +60,16 @@ class TestExitCodes:
         assert capsys.readouterr() == (
             '{"base": ["73", "A"], "keys": ["1"], "qualifiers": []}\n', "")
         assert json.loads(report.read_text())["config"]["code"] == code
+
+    def test_version_is_the_project_version(self, capsys):
+        """--version prints the package version, which pip's metadata
+        (pyproject.toml, read by a regex: Python 3.10 has no tomllib)
+        must also carry."""
+        assert run(["--version"]) == 0
+        assert capsys.readouterr() == (f"{__version__}\n", "")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        assert re.findall(r'^version = "(.*)"$', pyproject.read_text(),
+                          re.MULTILINE) == [__version__]
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -1647,26 +1659,33 @@ class TestClosedStreams:
         assert _tree(tmp_path) == before
 
 
-def _process(argv, stdout, stderr_closed=False, stderr=subprocess.PIPE):
+def _process(argv, stdout, stderr_closed=False, stderr=subprocess.PIPE,
+             stdout_closed=False, extra_env=()):
     """Run ``iconcap argv`` as a new process with buffered standard
-    streams, as a shell runs it; ``stderr_closed`` runs it with ``2>&-``."""
+    streams, as a shell runs it; ``stdout_closed`` and ``stderr_closed``
+    run it with ``>&-`` and ``2>&-``, and ``extra_env`` adds to its
+    environment."""
     env = {key: value for key, value in os.environ.items()
            if key != "PYTHONUNBUFFERED"}
     package = str(Path(cli.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package, env.get("PYTHONPATH")]))
+    env.update(extra_env)
     command = [sys.executable, "-m", "iconcap.cli", *argv]
-    if stderr_closed:
-        command = ["sh", "-c", 'exec "$@" 2>&-', "sh", *command]
-        stderr = None
+    closes = " >&-" * stdout_closed + " 2>&-" * stderr_closed
+    if closes:
+        command = ["sh", "-c", 'exec "$@"' + closes, "sh", *command]
+        stderr = None if stderr_closed else stderr
     return subprocess.run(command, stdout=stdout, stderr=stderr, env=env)
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.skipif(not os.path.exists("/dev/full")
+                    or shutil.which("sh") is None, reason="no /dev/full or sh")
 class TestRealStandardStreams:
-    """What a buffered standard stream of a real process shows: a write it
-    refused stays in its buffer, and the flush at exit must not retry it
-    and turn the exit code into 120."""
+    """What only a real process with buffered standard streams shows: a
+    closed stream (``>&-``, ``2>&-``), a strict UTF-8 stdout, and a write
+    a full stream refused, which stays in its buffer and must not be
+    retried by the flush at exit, turning the exit code into 120."""
 
     @pytest.mark.parametrize("command, flag, name", [
         ("eval", "--csv", "eval.csv"),
@@ -1702,3 +1721,23 @@ class TestRealStandardStreams:
         assert done.returncode == 0
         assert done.stdout == b""
         assert records.read_bytes() == built
+
+    def test_closed_stdout_exits_1(self):
+        """``parse 73A >&-`` exits 1 naming stdout."""
+        done = _process(["parse", "73A"], None, stdout_closed=True)
+        assert done.returncode == 1
+        assert done.stderr == (
+            b"iconcap parse: error: cannot write standard output\n")
+
+    def test_strict_stdout_refuses_a_surrogate(self):
+        """A notation from argv bytes that are not UTF-8 has no form a
+        strict UTF-8 stdout takes: exit 1, one error line, no traceback."""
+        done = _process(["parse", os.fsdecode(b"7(\xff)")], subprocess.PIPE,
+                        extra_env={"PYTHONIOENCODING": "utf-8:strict"})
+        assert done.returncode == 1
+        assert done.stdout == b""
+        err = done.stderr.decode()
+        assert err.startswith(
+            "iconcap parse: error: cannot write standard output: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err

@@ -6,7 +6,11 @@ import itertools
 import json
 import math
 import random
+import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -251,6 +255,19 @@ class TestBleu:
         p = pair(["x"], [["a"]])
         assert bleu(p, max_n=1, smoothing_epsilon=5e-16) == \
             pytest.approx(5e-16)
+
+    def test_frozen_epsilon_reproduces(self):
+        """The standalone calibration script still prints its committed
+        sweep, and the epsilon it chooses is the library default."""
+        tools = Path(__file__).resolve().parents[1] / "tools"
+        done = subprocess.run(
+            [sys.executable, str(tools / "smoothing_calibration.py")],
+            capture_output=True, check=True)
+        committed = (tools / "smoothing_calibration.out").read_bytes()
+        assert done.stdout == committed
+        chosen = re.search(rb"^chosen epsilon: (\S+) ", done.stdout,
+                           re.MULTILINE)
+        assert float(chosen[1]) == metrics.DEFAULT_SMOOTHING_EPSILON
 
     def test_brevity_penalty(self):
         # full precision, candidate half the reference length
