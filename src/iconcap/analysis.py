@@ -152,10 +152,20 @@ def frequency_baseline(
     caption) pair per distinct id, sorted by id, ready for JSONL export as
     evaluation candidates.
     """
-    captions = [r.clean_description for r in train_records if r.clean_description]
-    if not captions:
+    return baseline_pairs(
+        Counter(r.clean_description for r in train_records
+                if r.clean_description), test_ids)
+
+
+def baseline_pairs(
+    frequency: dict[str, int], test_ids: list[str]
+) -> list[tuple[str, str]]:
+    """``frequency_baseline`` from the training captions' counts.
+
+    Raises EmptyInput when ``frequency`` holds no caption.
+    """
+    if not frequency:
         raise EmptyInput("no training captions")
-    frequency = Counter(captions)
     mode = min(frequency, key=lambda c: (-frequency[c], c))
     return [(image_id, mode) for image_id in sorted(set(test_ids))]
 

@@ -31,7 +31,7 @@ from typing import TextIO
 from . import __version__
 from .analysis import (
     UNITS,
-    frequency_baseline,
+    baseline_pairs,
     genre_distribution,
     join_genres,
     length_stats,
@@ -312,15 +312,31 @@ def _read_test_ids(path: str) -> list[str]:
         return [line.strip() for line in fh if line.strip()]
 
 
+def _train_captions(path: str) -> dict[str, int]:
+    """How often each non-empty caption occurs in the train rows of
+    ``path``, or in all its rows when none has a split; one pass counts
+    both, as any row may be the first with a split."""
+    every: dict[str, int] = {}
+    train: dict[str, int] = {}
+    count_every, count_train = every.get, train.get  # no Counter.__missing__
+    marked = False
+    for _, caption, split in read_captions(path):
+        if caption:
+            every[caption] = count_every(caption, 0) + 1
+            if split == "train":
+                train[caption] = count_train(caption, 0) + 1
+        if split is not None:
+            marked = True
+    return train if marked else every
+
+
 def _cmd_baseline(args: argparse.Namespace, out: Outputs) -> dict[str, object]:
-    records = read_records_jsonl(args.train)
-    if any(r.split for r in records):
-        records = [r for r in records if r.split == "train"]
+    frequency = _train_captions(args.train)
     test_ids = _read_test_ids(args.ids)
     if not test_ids:
         raise EmptyInput(f"{args.ids}: no test id")
     try:
-        pairs = frequency_baseline(records, test_ids)
+        pairs = baseline_pairs(frequency, test_ids)
     except EmptyInput as exc:
         raise EmptyInput(f"{args.train}: {exc}") from None
     write_captions(out["out"], ((image_id, caption, None)

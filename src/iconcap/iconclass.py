@@ -21,13 +21,16 @@ Correlates are looked up, and the hierarchy is walked, on canonical text
 from __future__ import annotations
 
 import gc
+import json
 import re
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .errors import MalformedNotation, SchemaViolation
-from .jsonl import read_json_object, reading
+from .jsonl import decode_json_object, read_json_object, reading
 
 
 @dataclass(frozen=True)
@@ -278,6 +281,20 @@ class collector_paused:
             gc.enable()
 
 
+# the fast path of load_annotations cuts the text after a "]," once a piece
+# has at least this many characters
+_PIECE = 64 * 1024
+
+
+class _Pairs(list):
+    """A decoded object's members; a nested object shows up as one."""
+
+
+_DECODE_PIECE = json.JSONDecoder(object_pairs_hook=_Pairs).decode
+_LIST = {list}
+_STR = {str}
+
+
 def load_annotations(path: str | Path) -> list[AnnotationRecord]:
     """Read the annotation JSON: an object of image filename -> code array.
 
@@ -285,22 +302,99 @@ def load_annotations(path: str | Path) -> list[AnnotationRecord]:
     them later).  Raises SchemaViolation naming the offending key when a
     value is not an array of strings.
 
+    The text is read once and decoded in pieces of about ``_PIECE``
+    characters, each cut just after a ``],`` and wrapped in braces as an
+    object of its own, so the whole decoded object never exists at once:
+    each piece's arrays become the records' tuples and the piece is
+    dropped.  Every record's codes share one string per distinct code.
+    Text this fast path does not take (a piece that does not decode, as
+    when a string holds ``],``; a value that is not an array; a code that
+    is not a string; a repeated image id; text around the object) is
+    decoded again whole by ``decode_json_object``, as any JSON object
+    input is, so errors and the repeated-key rule come from that one
+    place.  The file is read once, so it may be a pipe.
+
     The load runs under ``collector_paused``, a process-wide pause, as it
     builds one long-lived record per image and no cycles; the collector is
     restored also when the load fails.
     """
     with collector_paused():
-        data = read_json_object(path, "annotations")
-        records = []
-        for image_id, codes in data.items():
-            if not isinstance(codes, list):
+        with reading(path, "annotations") as fh:
+            text = fh.read()
+        records = _load_pieces(text)
+        return _load_whole(path, text) if records is None else records
+
+
+def _load_pieces(text: str) -> list[AnnotationRecord] | None:
+    """The records of annotation ``text``, decoded piece by piece; None
+    when the text is anything but one object of arrays of strings with
+    no repeated key, for the whole-file path to decode or reject."""
+    start = len(text) - len(text.lstrip(" \t\n\r"))
+    if not text.startswith("{", start):
+        return None
+    memo: dict[str, str] = {}
+    share = repeat(memo.setdefault)
+    records: list[AnnotationRecord] = []
+    seen: set[str] = set()
+    a = start + 1  # where the next piece starts, past the "{" or a "],"
+    while a:
+        end = text.find("],", a + _PIECE)
+        piece = "{" + (text[a:] if end < 0 else text[a:end + 1] + "}")
+        first = a == start + 1
+        a = end + 2 if end >= 0 else 0  # 0: this piece is the last
+        try:
+            pairs = _DECODE_PIECE(piece)
+        except (ValueError, RecursionError):  # JSON or the int digit limit
+            return None
+        del piece
+        if not pairs:
+            if not first:  # a trailing comma: "...],}"
+                return None
+            continue
+        ids, values = zip(*pairs)
+        if set(map(type, values)) != _LIST:
+            return None
+        try:
+            codes = list(map(tuple, map(map, share, values, values)))
+        except TypeError:  # an array or object among the codes
+            return None
+        records += _records(ids, codes)
+        seen.update(ids)
+        del pairs, ids, values, codes  # before the next piece is decoded
+    if len(seen) != len(records) or set(map(type, memo)) - _STR:
+        return None  # a repeated image id, or a code that is no string
+    return records
+
+
+# an AnnotationRecord's slots, set without its frozen __init__'s frame
+_SET_IMAGE_ID = AnnotationRecord.image_id.__set__
+_SET_CODES = AnnotationRecord.codes.__set__
+
+
+def _records(ids: tuple[str, ...],
+             codes: list[tuple[str, ...]]) -> list[AnnotationRecord]:
+    """``list(map(AnnotationRecord, ids, codes))`` in C calls alone."""
+    records = list(map(object.__new__, repeat(AnnotationRecord, len(ids))))
+    deque(map(_SET_IMAGE_ID, records, ids), 0)
+    deque(map(_SET_CODES, records, codes), 0)
+    return records
+
+
+def _load_whole(path: str | Path, text: str) -> list[AnnotationRecord]:
+    """The records of annotation ``text``, read from ``path``, over the
+    whole decoded object: the reference path, and the source of every
+    error text."""
+    data = decode_json_object(path, text)
+    records = []
+    for image_id, codes in data.items():
+        if not isinstance(codes, list):
+            raise SchemaViolation(
+                f"{path}: value for {image_id!r} is not an array"
+            )
+        for code in codes:
+            if not isinstance(code, str):
                 raise SchemaViolation(
-                    f"{path}: value for {image_id!r} is not an array"
+                    f"{path}: non-string code under {image_id!r}"
                 )
-            for code in codes:
-                if not isinstance(code, str):
-                    raise SchemaViolation(
-                        f"{path}: non-string code under {image_id!r}"
-                    )
-            records.append(AnnotationRecord(image_id, tuple(codes)))
-        return records
+        records.append(AnnotationRecord(image_id, tuple(codes)))
+    return records

@@ -98,7 +98,15 @@ def reading(path: str | Path, what: str = "",
 
 
 def read_json_object(path: str | Path, what: str) -> dict:
-    """Read the JSON object in ``path``; SchemaViolation names the path.
+    """Read the JSON object in ``path``, as :func:`decode_json_object`."""
+    with reading(path, what) as fh:
+        text = fh.read()
+    return decode_json_object(path, text)
+
+
+def decode_json_object(path: str | Path, text: str) -> dict:
+    """Decode ``text``, read from ``path``, as a JSON object;
+    SchemaViolation names the path.
 
     A key that repeats in one object must repeat its value too: a repeat
     with a different value is a SchemaViolation naming the path and key.
@@ -112,8 +120,6 @@ def read_json_object(path: str | Path, what: str) -> dict:
                         f"{path}: key {key!r} repeats with a different value")
         return obj
 
-    with reading(path, what) as fh:
-        text = fh.read()
     try:
         data = json.loads(text, object_pairs_hook=unique)
     except RecursionError:
@@ -187,7 +193,9 @@ def write_captions(out: TextIO, rows: Iterable[CaptionRow],
                    exports: dict[str, TextIO] | None = None) -> None:
     """Write ``(image_id, caption, split)`` rows to ``out``, omitting an
     unset split; a row whose split is a key of ``exports`` is also written
-    without it to that stream, from the same encoding."""
+    without it to that stream, from the same encoding.  An OSError writing
+    an export carries that stream as its ``stream``, so ``staged`` names
+    the export's path."""
     write = out.write
     exports = {split: fh.write for split, fh in (exports or {}).items()}
     for image_id, caption, split in rows:
@@ -200,7 +208,11 @@ def write_captions(out: TextIO, rows: Iterable[CaptionRow],
         write(f'{head}, "split": {_ENCODE(split)}}}\n')
         export = exports.get(split)
         if export is not None:
-            export(head + "}\n")
+            try:
+                export(head + "}\n")
+            except OSError as exc:  # for staged to name this export's path
+                exc.stream = export.__self__
+                raise
 
 
 @contextlib.contextmanager
@@ -218,11 +230,13 @@ def staged(paths: list[str | Path]) -> Iterator[list[TextIO]]:
     crash between two renames leaves some targets replaced.
 
     An OSError or UnicodeEncodeError becomes ``IoFailure("cannot write
-    <path>: <reason>")`` naming the path being opened, closed or replaced,
-    or the first path for an error raised in the block; with no path, an
-    error raised in the block passes as it is.  The reason is the
-    OSError's ``strerror``, which names no file (an OSError's full text
-    names the temporary file, a random name), or else the error's text.
+    <path>: <reason>")`` naming the path being opened, closed or replaced;
+    for an error raised in the block, the path of the stream given as the
+    error's ``stream`` (see :func:`write_captions`), else the first path.
+    With no path, an error raised in the block passes as it is.  The
+    reason is the OSError's ``strerror``, which names no file (an
+    OSError's full text names the temporary file, a random name), or else
+    the error's text.
     """
     streams: list[TextIO] = []
     temps: list[tuple[str | Path, str, str, int | None]] = []
@@ -266,5 +280,8 @@ def staged(paths: list[str | Path]) -> Iterator[list[TextIO]]:
     except (OSError, UnicodeEncodeError) as exc:
         if path is None:
             raise
+        stream = getattr(exc, "stream", None)
+        if stream in streams:
+            path = paths[streams.index(stream)]
         reason = getattr(exc, "strerror", None) or exc
         raise IoFailure(f"cannot write {path}: {reason}") from exc

@@ -30,6 +30,7 @@ from iconcap import (
 from iconcap.analysis import load_genre_csv
 from iconcap.captions import caption_rows
 from iconcap.cli import run
+from iconcap.jsonl import staged, write_captions
 from synth import write_corpus
 
 
@@ -381,6 +382,28 @@ class TestMalformedCaptions:
         assert f"error: {train}: no training captions" in \
             capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("rows, mode", [
+        ([("a", "x.", None), ("b", "y.", None), ("c", "y.", None)], "y."),
+        ([("a", "y.", None), ("b", "y.", "val"), ("c", "x.", "train")], "x."),
+        ([("a", "", "train"), ("b", "y.", "test"), ("c", "x.", "train"),
+          ("d", "y.", None)], "x."),
+    ], ids=["no_split_every_row_counts", "split_first_on_the_last_row",
+            "only_train_rows_count"])
+    def test_candidate_is_the_most_frequent_train_caption(self, tmp_path,
+                                                          rows, mode):
+        """Once any row has a split, only train rows count; empty
+        captions never do."""
+        train = tmp_path / "train.jsonl"
+        with staged([train]) as (fh,):
+            write_captions(fh, rows)
+        ids = tmp_path / "ids.txt"
+        ids.write_text("t\n")
+        out = tmp_path / "cands.jsonl"
+        assert run(["baseline", "--train", str(train), "--ids", str(ids),
+                    "--out", str(out), "--quiet"]) == 0
+        assert out.read_text() == \
+            f'{{"image_id": "t", "caption": "{mode}"}}\n'
 
     @pytest.mark.parametrize("content", [
         "", "\n  \n",
@@ -1434,6 +1457,35 @@ class TestFailedSplitChangesNoOutput:
         assert "Traceback" not in err
         assert _tree(work) == before
         assert not [path for path in before if path.endswith(".tmp")]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    def test_failed_export_write_names_the_export(self, tmp_path, capsys):
+        """An export that fails mid-write, not at its close, is named, and
+        no output is replaced."""
+        ann, tsv = write_corpus(tmp_path, n_images=2000, seed=3)
+        records = tmp_path / "records.jsonl"
+        assert run(["build", "--annotations", str(ann), "--correlates",
+                    str(tsv), "--out", str(records), "--quiet"]) == 0
+        export_dir = tmp_path / "ex"
+        export_dir.mkdir()
+        kept = {tmp_path / "s.jsonl": b"old split\n",
+                export_dir / "train.jsonl": b"old train\n",
+                export_dir / "val.jsonl": b"old val\n"}
+        for path, content in kept.items():
+            path.write_bytes(content)
+        (export_dir / "test.jsonl").symlink_to("/dev/full")
+        # 1,500 test rows overflow the stream's buffer before its close
+        assert run(["split", "--in", str(records), "--val", "100",
+                    "--test", "1500", "--out", str(tmp_path / "s.jsonl"),
+                    "--export-dir", str(export_dir), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot write {export_dir / 'test.jsonl'}: " \
+               f"{os.strerror(errno.ENOSPC)}" in err
+        assert {path: path.read_bytes() for path in kept} == kept
+        assert not [name for directory in (tmp_path, export_dir)
+                    for name in os.listdir(directory)
+                    if name.endswith(".tmp")]
 
 
 # command: the flags that add outputs to its successful run, and the key
