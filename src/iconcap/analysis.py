@@ -18,7 +18,6 @@ import statistics
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 from .captions import CaptionRecord
 from .errors import DuplicateId, EmptyInput, SchemaViolation
@@ -26,7 +25,8 @@ from .jsonl import reading
 from .metrics import tokenize
 
 
-class GenreRecord(NamedTuple):
+@dataclass(slots=True)
+class GenreRecord:
     image_id: str
     genre: str
     caption: str

@@ -20,8 +20,8 @@ from __future__ import annotations
 import hashlib
 import re
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
-from functools import partial
+from dataclasses import asdict, dataclass
+from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
 
@@ -63,9 +63,6 @@ class CleaningConfig:
     uppercase_stoplist: tuple[str, ...] = ("BB",)
     drop_etc: bool = True
     dedup: bool = True
-    _stoplist_res: tuple[re.Pattern, ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         for entry in self.uppercase_stoplist:
@@ -73,11 +70,14 @@ class CleaningConfig:
                 raise ValueError(
                     f"stoplist entry {entry!r} must be 1-4 uppercase letters"
                 )
-        # compiled once per config, not once per cleaned string
-        object.__setattr__(self, "_stoplist_res", tuple(
+
+    @cached_property
+    def _stoplist_res(self) -> tuple[re.Pattern, ...]:
+        """One pattern per stoplist entry, compiled once per config."""
+        return tuple(
             re.compile(r"\s*-\s*" + re.escape(token) + r"\s*-\s*")
             for token in self.uppercase_stoplist
-        ))
+        )
 
 
 @dataclass

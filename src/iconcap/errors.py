@@ -39,16 +39,13 @@ class EmptyCorpus(IconcapError):
 class MissingReference(IconcapError):
     """A candidate image id has no reference caption.
 
-    ``candidates`` and ``references`` name the two files, when known.
+    ``candidates`` and ``references`` name the two files.
     """
 
-    def __init__(self, image_id: str,
-                 candidates: str | PathLike[str] | None = None,
-                 references: str | PathLike[str] | None = None):
-        message = f"no reference caption for image id {image_id!r}"
-        if candidates is not None and references is not None:
-            message = f"{candidates}: {message} in {references}"
-        super().__init__(message)
+    def __init__(self, image_id: str, candidates: str | PathLike[str],
+                 references: str | PathLike[str]):
+        super().__init__(f"{candidates}: no reference caption for image id "
+                         f"{image_id!r} in {references}")
         self.image_id = image_id
 
 

@@ -23,10 +23,8 @@ from __future__ import annotations
 import gc
 import json
 import re
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 from .errors import MalformedNotation, SchemaViolation
@@ -251,7 +249,7 @@ def resolve_code(
     return None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AnnotationRecord:
     """One image and its notation codes, in source order."""
 
@@ -286,13 +284,8 @@ class collector_paused:
 _PIECE = 64 * 1024
 
 
-class _Pairs(list):
-    """A decoded object's members; a nested object shows up as one."""
-
-
-_DECODE_PIECE = json.JSONDecoder(object_pairs_hook=_Pairs).decode
-_LIST = {list}
-_STR = {str}
+# a decoded object is the tuple of its members, so a nested object is no list
+_DECODE_PIECE = json.JSONDecoder(object_pairs_hook=tuple).decode
 
 
 def load_annotations(path: str | Path) -> list[AnnotationRecord]:
@@ -333,7 +326,7 @@ def _load_pieces(text: str) -> list[AnnotationRecord] | None:
     if not text.startswith("{", start):
         return None
     memo: dict[str, str] = {}
-    share = repeat(memo.setdefault)
+    share = memo.setdefault
     records: list[AnnotationRecord] = []
     seen: set[str] = set()
     a = start + 1  # where the next piece starts, past the "{" or a "],"
@@ -352,31 +345,18 @@ def _load_pieces(text: str) -> list[AnnotationRecord] | None:
                 return None
             continue
         ids, values = zip(*pairs)
-        if set(map(type, values)) != _LIST:
+        if set(map(type, values)) != {list}:
             return None
         try:
-            codes = list(map(tuple, map(map, share, values, values)))
-        except TypeError:  # an array or object among the codes
+            codes = [tuple(map(share, v, v)) for v in values]
+        except TypeError:  # an array among the codes
             return None
-        records += _records(ids, codes)
+        records += map(AnnotationRecord, ids, codes)
         seen.update(ids)
         del pairs, ids, values, codes  # before the next piece is decoded
-    if len(seen) != len(records) or set(map(type, memo)) - _STR:
-        return None  # a repeated image id, or a code that is no string
-    return records
-
-
-# an AnnotationRecord's slots, set without its frozen __init__'s frame
-_SET_IMAGE_ID = AnnotationRecord.image_id.__set__
-_SET_CODES = AnnotationRecord.codes.__set__
-
-
-def _records(ids: tuple[str, ...],
-             codes: list[tuple[str, ...]]) -> list[AnnotationRecord]:
-    """``list(map(AnnotationRecord, ids, codes))`` in C calls alone."""
-    records = list(map(object.__new__, repeat(AnnotationRecord, len(ids))))
-    deque(map(_SET_IMAGE_ID, records, ids), 0)
-    deque(map(_SET_CODES, records, codes), 0)
+    # a repeated image id, or a code that is no string (as an object's tuple)
+    if len(seen) != len(records) or set(map(type, memo)) - {str}:
+        return None
     return records
 
 

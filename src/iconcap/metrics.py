@@ -45,10 +45,12 @@ import csv
 import io
 import json
 import math
+import operator
 import re
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import ClassVar
 
@@ -64,6 +66,15 @@ DEFAULT_METEOR_GAMMA = 0.6
 DEFAULT_METEOR_THETA = 0.2
 
 METRIC_NAMES = ("bleu1", "bleu2", "bleu3", "bleu4", "meteor", "rouge_l", "cider")
+
+
+def _sum(values: Iterable[float]) -> float:
+    """The float sum of ``values`` added left to right.
+
+    ``sum`` compensates float sums since Python 3.12, so its last digits
+    depend on the version; this order gives the same bits on every one.
+    """
+    return reduce(operator.add, values, 0.0)
 
 
 # a punctuation character, or a run of characters that are neither
@@ -411,7 +422,7 @@ def _cider_vectors(
         # raw counts as TF, weighted by corpus IDF
         vec = {gram: count * idf.get(gram, idf_default)
                for gram, count in cand.items()}
-        vectors.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
+        vectors.append((vec, math.sqrt(_sum(v * v for v in vec.values()))))
     return vectors
 
 
@@ -431,11 +442,11 @@ def _cider_score(
             for counts in ref_counts:
                 ref = counts[n]
                 weights = [count * idf[gram] for gram, count in ref.items()]
-                ref_norm = math.sqrt(sum(w * w for w in weights))
+                ref_norm = math.sqrt(_sum(w * w for w in weights))
                 if ref_norm == 0.0:
                     continue
-                dot = sum(v * (ref[g] * idf[g])
-                          for g, v in cand_vec.items() if g in ref)
+                dot = _sum(v * (ref[g] * idf[g])
+                           for g, v in cand_vec.items() if g in ref)
                 # rounding can lift an exact match a few ulps above 1
                 sim += min(1.0, dot / (cand_norm * ref_norm))
         total += sim / len(ref_counts)
@@ -459,7 +470,7 @@ def cider(pairs: list[EvalPair], max_n: int = 4) -> tuple[list[float], float]:
         cand_counts, ref_counts = _pair_counts(pair, max_n)
         scores.append(_cider_score(
             _cider_vectors(cand_counts, idf, idf_default), ref_counts, idf))
-    return scores, sum(scores) / len(scores)
+    return scores, _sum(scores) / len(scores)
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +582,9 @@ def evaluate_pairs(
 
     bleus = _bleu_from_stats(*_sum_bleu_stats(pair_stats), max_n, epsilon)
     corpus = {f"bleu{n}": score for n, score in enumerate(bleus, 1)}
-    corpus["meteor"] = sum(r["meteor"] for r in rows) / len(rows)
-    corpus["rouge_l"] = sum(r["rouge_l"] for r in rows) / len(rows)
-    corpus["cider"] = sum(r["cider"] for r in rows) / len(rows)
+    corpus["meteor"] = _sum(r["meteor"] for r in rows) / len(rows)
+    corpus["rouge_l"] = _sum(r["rouge_l"] for r in rows) / len(rows)
+    corpus["cider"] = _sum(r["cider"] for r in rows) / len(rows)
     return MetricReport(corpus=corpus, examples=rows)
 
 

@@ -1,6 +1,7 @@
 """Caption building, cleaning, splits, and export."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 
@@ -14,6 +15,7 @@ from iconcap import (
     CleaningConfig,
     CorrelateStore,
     DuplicateId,
+    GenreRecord,
     InsufficientRecords,
     MalformedNotation,
     SplitConfig,
@@ -117,6 +119,15 @@ class TestCleanDescription:
             CleaningConfig(uppercase_stoplist=("bb",))
         with pytest.raises(ValueError):
             CleaningConfig(uppercase_stoplist=("TOOBIG",))
+
+    def test_config_fields_are_the_options(self):
+        cfg = CleaningConfig(uppercase_stoplist=("BB", "E"))
+        assert [f.name for f in dataclasses.fields(CleaningConfig)] == \
+            ["uppercase_stoplist", "drop_etc", "dedup"]
+        assert dataclasses.asdict(cfg) == {
+            "uppercase_stoplist": ("BB", "E"), "drop_etc": True, "dedup": True}
+        clean_description("man - E - woman", cfg)  # compiles the stoplist
+        assert cfg == CleaningConfig(uppercase_stoplist=("BB", "E"))
 
     def test_idempotent_on_cascading_etc(self):
         # deleting ", etc." can surface a new one once the period lands
@@ -409,7 +420,8 @@ class TestBuildDataset:
 @pytest.mark.parametrize("record", [
     AnnotationRecord("a.jpg", ("73", "11F")),
     CaptionRecord("a.jpg", "x, y", "x, y.", "train"),
-], ids=["AnnotationRecord", "CaptionRecord"])
+    GenreRecord("a.jpg", "marine", "x, y."),
+], ids=["AnnotationRecord", "CaptionRecord", "GenreRecord"])
 def test_record_classes_hold_no_instance_dict(record):
     assert not hasattr(record, "__dict__")
     clone = copy.deepcopy(record)

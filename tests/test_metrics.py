@@ -5,11 +5,13 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 import re
 import subprocess
 import sys
 from collections import Counter
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,12 @@ from iconcap import metrics
 from iconcap.cli import run
 from iconcap.metrics import PUNCTUATION, light_stem, strip_punctuation_tokens
 from synth import write_corpus
+
+
+def left_to_right(values):
+    """The float sum of ``values`` in their order, as ``sum`` added before
+    Python 3.12 compensated it."""
+    return reduce(operator.add, values, 0.0)
 
 
 def pair(cand, refs, image_id="img"):
@@ -83,7 +91,8 @@ def reference_corpus_bleu(pairs, max_n,
     precisions = [c / t if c > 0 and t > 0 else epsilon
                   for c, t in zip(clipped, totals)]
     brevity = 1.0 if cand_len >= ref_len else math.exp(1 - ref_len / cand_len)
-    return brevity * math.exp(sum(math.log(x) for x in precisions) / max_n)
+    return brevity * math.exp(left_to_right(math.log(x) for x in precisions)
+                               / max_n)
 
 
 def loop_tokenize(text):
@@ -701,10 +710,10 @@ class TestEvaluate:
         report = evaluate(cands, refs)
         per = report.examples
         assert report.corpus["rouge_l"] == pytest.approx(
-            sum(r["rouge_l"] for r in per) / len(per)
+            left_to_right(r["rouge_l"] for r in per) / len(per)
         )
         assert report.corpus["meteor"] == pytest.approx(
-            sum(r["meteor"] for r in per) / len(per)
+            left_to_right(r["meteor"] for r in per) / len(per)
         )
 
     def test_empty_candidate_file(self, tmp_path):
@@ -766,10 +775,15 @@ def assert_rows_equal_public_scorers(pairs):
     assert report.corpus == {
         **{f"bleu{n}": reference_corpus_bleu(pairs, n)
            for n in range(1, 5)},
-        "meteor": sum(r["meteor"] for r in rows) / len(rows),
-        "rouge_l": sum(r["rouge_l"] for r in rows) / len(rows),
+        "meteor": left_to_right(r["meteor"] for r in rows) / len(rows),
+        "rouge_l": left_to_right(r["rouge_l"] for r in rows) / len(rows),
         "cider": cider_corpus,
     }
+
+
+def test_float_sums_add_left_to_right():
+    # a compensated sum (Python 3.12's sum, math.fsum) gives 1.0
+    assert metrics._sum([1e16, 1.0, -1e16]) == 0.0
 
 
 class TestSinglePass:
