@@ -16,6 +16,7 @@ import csv
 import io
 import statistics
 from collections import Counter, defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,14 +70,21 @@ def genre_distribution(
         raise ValueError("k must be at least 1")
     if unit not in UNITS:
         raise ValueError(f"unknown unit {unit!r}")
+    return count_genres(((r.genre, r.caption) for r in records), k, unit)[0]
 
+
+def count_genres(
+    pairs: Iterable[tuple[str, str]], k: int, unit: str
+) -> tuple[GenreDistribution, int]:
+    """``genre_distribution`` over ``(genre, caption)`` pairs, read once,
+    and the number of pairs."""
     # per genre, count the raw comma pieces (or whole captions) in C, then
     # trim each distinct piece once
     by_segment = unit == "segment"
     per_genre: dict[str, Counter] = defaultdict(Counter)
-    for record in records:
-        caption = record.caption
-        per_genre[record.genre].update(
+    n = 0
+    for n, (genre, caption) in enumerate(pairs, 1):
+        per_genre[genre].update(
             caption.split(",") if by_segment else (caption,))
     if by_segment:
         per_genre = {genre: _segments(pieces)
@@ -95,7 +103,7 @@ def genre_distribution(
     }
     return GenreDistribution(
         phrases=sorted(selected), genres=sorted(per_genre), counts=counts
-    )
+    ), n
 
 
 def _segments(pieces: Counter) -> Counter:
@@ -130,9 +138,12 @@ def length_stats(captions: list[str]) -> dict[str, object]:
             "histogram": [],
         }
     buckets: Counter = Counter(5 * (n // 5) for n in lengths)
+    # statistics.mean's value and type: int when exact, else the correctly
+    # rounded float of total / count, which int division also gives
+    total, count = sum(lengths), len(lengths)
     return {
-        "count": len(lengths),
-        "mean": statistics.mean(lengths),
+        "count": count,
+        "mean": total // count if total % count == 0 else total / count,
         "median": statistics.median(lengths),
         "min": min(lengths),
         "max": max(lengths),
@@ -173,11 +184,17 @@ def baseline_pairs(
 def load_genre_csv(path: str | Path) -> dict[str, str]:
     """Read an ``image_id,genre`` CSV (header row optional).
 
-    Raises DuplicateId naming the file and the line of a repeated id.
+    Both fields are trimmed of whitespace; a row with fewer than two
+    fields, or with an empty id or genre, is skipped, and the ids map to
+    one string per distinct genre.  Raises DuplicateId naming the file and
+    the line of a repeated id, and SchemaViolation naming the file and the
+    line of a row the strict CSV dialect rejects, such as a stray quote.
     """
     genres: dict[str, str] = {}
+    labels: dict[str, str] = {}
+    share = labels.setdefault
     with reading(path, "genre table", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)
         try:
             for row in reader:
                 if not row or len(row) < 2:
@@ -189,7 +206,7 @@ def load_genre_csv(path: str | Path) -> dict[str, str]:
                     if image_id in genres:
                         raise DuplicateId(
                             image_id, f"{path}: line {reader.line_num}")
-                    genres[image_id] = genre
+                    genres[image_id] = share(genre, genre)
         except csv.Error as exc:
             raise SchemaViolation(f"{path}: line {reader.line_num}: {exc}") from exc
     return genres

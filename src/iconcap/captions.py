@@ -17,11 +17,10 @@ record is returned and written in id order.
 
 from __future__ import annotations
 
-import hashlib
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 
@@ -213,32 +212,57 @@ def build_dataset(
 ) -> tuple[list[CaptionRecord], BuildReport]:
     """One CaptionRecord (split unset) per annotation with a non-empty clean.
 
-    The raw description joins the codes' correlates with ", " in code
-    order; a code that is malformed or misses the store (and, with
-    ``parent_fallback``, its parent chain) is skipped and counted.
-    Annotations whose codes all miss the store, or whose cleaned text is
-    empty, are dropped and counted in the report.  Each distinct code is
-    resolved once, and each distinct correlate goes through steps 1-4 of
-    the cleaning pass once.  Each distinct raw description is cleaned once:
-    when all its correlates' pieces are closed, by joining the pieces and
-    running steps 5-6 and the fixed-point re-runs; otherwise by
-    ``clean_description`` on the raw text.  The caption always equals
-    ``clean_description(raw, cfg)``.  Records with one raw description
-    share one string for it.  ``jobs`` is accepted and ignored (the build
-    is serial).
+    The captions and the report come from :func:`caption_stream`.  The raw
+    description joins the codes' correlates with ", " in code order, and
+    records with one tuple of correlates share one string for it.
+    ``jobs`` is accepted and ignored (the build is serial).
     """
-    cfg = cfg or CleaningConfig()
-    report = BuildReport(input=len(annotations))
+    report = BuildReport()
+    raws: dict[tuple[str, ...], str] = {}
+    records = []
+    for image_id, texts, clean in caption_stream(
+            map(_ID_AND_CODES, annotations), store, cfg or CleaningConfig(),
+            parent_fallback, report):
+        if clean:
+            raw = raws.get(texts)
+            if raw is None:
+                raw = raws[texts] = ", ".join(texts)
+            records.append(CaptionRecord(image_id, raw, clean))
+    return records, report
+
+
+_ID_AND_CODES = attrgetter("image_id", "codes")
+
+
+def caption_stream(
+    pairs: Iterable[tuple[str, Sequence[str]]],
+    store: CorrelateStore,
+    cfg: CleaningConfig,
+    parent_fallback: bool,
+    report: BuildReport,
+) -> Iterator[tuple[str, tuple[str, ...], str]]:
+    """``(image_id, texts, caption)`` for each ``(image_id, codes)`` pair.
+
+    ``texts`` are the codes' correlates in code order; a code that is
+    malformed or misses the store (and, with ``parent_fallback``, its
+    parent chain) is skipped and counted in ``report``.  The caption is
+    ``clean_description`` of the texts joined with ", ", and ``""`` when
+    no code resolves; ``report`` counts such images as dropped, and every
+    other as kept.  Each distinct code is resolved once, and each distinct
+    correlate goes through steps 1-4 of the cleaning pass once.  Each
+    distinct tuple of texts is cleaned once: when all its correlates'
+    pieces are closed, by joining the pieces and running steps 5-6 and the
+    fixed-point re-runs; otherwise by ``clean_description`` on the joined
+    texts.  Images with one tuple of texts share one caption string.
+    """
     resolved: dict[str, str | None] = {}
     # correlate -> its steps 1-4 piece, None when the piece is open
     pieces: dict[str, str | None] = {}
-    # raw description -> (that raw text, its caption): every record with
-    # one raw description shares the memo's one string
-    cleaned: dict[str, tuple[str, str]] = {}
-    records: list[CaptionRecord] = []
-    for record in annotations:
-        texts: list[str] = []
-        for code in record.codes:
+    # tuple of correlates -> its caption; an image with none is dropped
+    cleaned: dict[tuple[str, ...], str] = {(): ""}
+    for image_id, codes in pairs:
+        texts = []
+        for code in codes:
             if code not in resolved:
                 text = resolve_code(code, store, parent_fallback)
                 if text is not None and text not in pieces:
@@ -250,34 +274,24 @@ def build_dataset(
                 report.unresolved_codes += 1
             else:
                 texts.append(text)
-        if not texts:
-            report.dropped_empty += 1
-            continue
-        raw = ", ".join(texts)
-        memo = cleaned.get(raw)
-        if memo is None:
-            stripped = [pieces[text] for text in texts]
+        key = tuple(texts)
+        clean = cleaned.get(key)
+        if clean is None:
+            stripped = [pieces[text] for text in key]
             if None in stripped:
-                clean = clean_description(raw, cfg)
+                clean = clean_description(", ".join(key), cfg)
             else:
                 clean = _settle(_finish_pass(", ".join(stripped), cfg), cfg)
-            memo = cleaned[raw] = (raw, clean)
-        raw, clean = memo
-        if not clean:
+            cleaned[key] = clean
+        report.input += 1
+        if clean:
+            report.kept += 1
+        else:
             report.dropped_empty += 1
-            continue
-        records.append(CaptionRecord(record.image_id, raw, clean))
-    report.kept = len(records)
-    return records, report
+        yield image_id, key, clean
 
 
 _BY_ID = attrgetter("image_id")
-
-
-def _shuffle_key(seed: int, image_id: str) -> bytes:
-    # an id with a lone surrogate still sorts; writing it then fails cleanly
-    key = f"{seed}:{image_id}".encode("utf-8", "surrogatepass")
-    return hashlib.sha256(key).digest()
 
 
 def assign_splits(
@@ -302,8 +316,17 @@ def assign_splits(
     for a, b in zip(ids, ids[1:]):  # equal ids sort adjacent
         if a == b:
             raise DuplicateId(a)
+    # hashlib loads libcrypto, about 3.6 MB, so no other stage imports it
+    from hashlib import sha256
+
+    def shuffle_key(image_id: str) -> bytes:
+        # an id with a lone surrogate still sorts; writing it then fails
+        # cleanly
+        key = f"{cfg.seed}:{image_id}".encode("utf-8", "surrogatepass")
+        return sha256(key).digest()
+
     # a stable sort of ids in id order breaks digest ties by id
-    ranked = sorted(ids, key=partial(_shuffle_key, cfg.seed))
+    ranked = sorted(ids, key=shuffle_key)
     split_of = dict.fromkeys(ranked[:cfg.n_test], "test")
     split_of.update(dict.fromkeys(
         ranked[cfg.n_test:cfg.n_test + cfg.n_val], "val"))

@@ -25,6 +25,7 @@ import json
 import os
 import sys
 from collections import Counter
+from collections.abc import Iterable
 from pathlib import Path
 from typing import TextIO
 
@@ -32,28 +33,28 @@ from . import __version__
 from .analysis import (
     UNITS,
     baseline_pairs,
-    genre_distribution,
-    join_genres,
+    count_genres,
     length_stats,
     load_genre_csv,
 )
 from .captions import (
+    BuildReport,
     CleaningConfig,
     SplitConfig,
     assign_splits,
-    build_dataset,
     caption_rows,
+    caption_stream,
     read_records_jsonl,
 )
 from .errors import EmptyInput, IconcapError, IoFailure
 from .iconclass import (
     CorrelateStore,
     collector_paused,
-    load_annotations,
     parse_notation,
+    read_annotations,
 )
 from .jsonl import SPLITS, read_captions, reading, staged, write_captions
-from .metrics import EvalConfig, evaluate, load_caption_map
+from .metrics import EvalConfig, evaluate
 
 Outputs = dict[str, TextIO]  # a run's open output streams by name
 
@@ -231,7 +232,6 @@ def _opens_with_object(path: str, what: str = "") -> bool:
 
 
 def _cmd_build(args: argparse.Namespace, out: Outputs) -> dict[str, object]:
-    annotations = load_annotations(args.annotations)
     store = (CorrelateStore.from_json
              if _opens_with_object(args.correlates, "correlate table")
              else CorrelateStore.from_tsv)(args.correlates)
@@ -241,11 +241,21 @@ def _cmd_build(args: argparse.Namespace, out: Outputs) -> dict[str, object]:
         drop_etc=not args.keep_etc,
         dedup=not args.no_dedup,
     )
-    records, report = build_dataset(
-        annotations, store, cfg, parent_fallback=args.parent_fallback
-    )
-    write_captions(out["out"], caption_rows(records))
-    _log(args, f"wrote {len(records)} caption records to {args.out}")
+    report = BuildReport()
+
+    def captions(pairs: Iterable[tuple[str, list[str]]]) -> dict[str, str]:
+        """Each image's caption, "" when dropped, with a fresh report: text
+        the piecewise read hands over is read again from the start."""
+        nonlocal report
+        report = BuildReport()
+        return {image_id: caption for image_id, _, caption in caption_stream(
+            pairs, store, cfg, args.parent_fallback, report)}
+
+    rows = read_annotations(args.annotations, captions)
+    write_captions(out["out"], ((image_id, rows[image_id], None)
+                                for image_id in sorted(rows)
+                                if rows[image_id]))
+    _log(args, f"wrote {report.kept} caption records to {args.out}")
     return report.as_dict()
 
 
@@ -280,17 +290,18 @@ def _cmd_eval(args: argparse.Namespace, out: Outputs) -> dict[str, object]:
 
 def _cmd_analyze_genres(args: argparse.Namespace,
                         out: Outputs) -> dict[str, object]:
-    captions = load_caption_map(args.captions)
     genres = load_genre_csv(args.genres)
-    records = join_genres(captions, genres)
-    if not records:
+    distribution, joined = count_genres(
+        ((genres[image_id], caption)
+         for image_id, caption, _ in read_captions(args.captions)
+         if image_id in genres), args.k, args.unit)
+    if not joined:
         raise EmptyInput(f"{args.captions}: no image id is in {args.genres}")
-    distribution = genre_distribution(records, args.k, args.unit)
     out["out"].write(distribution.to_csv())
     _log(args, f"wrote {len(distribution.phrases)} phrases x "
                f"{len(distribution.genres)} genres to {args.out}")
     return {
-        "joined_records": len(records),
+        "joined_records": joined,
         "phrases": len(distribution.phrases),
         "genres": distribution.genres,
     }

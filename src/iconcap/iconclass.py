@@ -23,9 +23,12 @@ from __future__ import annotations
 import gc
 import json
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator, Sized
 from dataclasses import dataclass
+from itertools import chain, starmap
+from operator import attrgetter
 from pathlib import Path
+from typing import TypeVar
 
 from .errors import MalformedNotation, SchemaViolation
 from .jsonl import decode_json_object, read_json_object, reading
@@ -279,7 +282,7 @@ class collector_paused:
             gc.enable()
 
 
-# the fast path of load_annotations cuts the text after a "]," once a piece
+# the fast path of read_annotations cuts the text after a "]," once a piece
 # has at least this many characters
 _PIECE = 64 * 1024
 
@@ -287,48 +290,102 @@ _PIECE = 64 * 1024
 # a decoded object is the tuple of its members, so a nested object is no list
 _DECODE_PIECE = json.JSONDecoder(object_pairs_hook=tuple).decode
 
+_Built = TypeVar("_Built", bound=Sized)
+_Pairs = Iterable[tuple[str, list[str]]]  # (image id, codes), in file order
+_Piece = tuple[tuple[str, ...], tuple[list[str], ...]]  # ids, their codes
+
+
+class _HandOver(Exception):
+    """The piecewise path leaves the text to the whole-file path."""
+
 
 def load_annotations(path: str | Path) -> list[AnnotationRecord]:
     """Read the annotation JSON: an object of image filename -> code array.
 
     Records with empty code arrays are retained (the caption builder drops
     them later).  Raises SchemaViolation naming the offending key when a
-    value is not an array of strings.
-
-    The text is read once and decoded in pieces of about ``_PIECE``
-    characters, each cut just after a ``],`` and wrapped in braces as an
-    object of its own, so the whole decoded object never exists at once:
-    each piece's arrays become the records' tuples and the piece is
-    dropped.  Every record's codes share one string per distinct code.
-    Text this fast path does not take (a piece that does not decode, as
-    when a string holds ``],``; a value that is not an array; a code that
-    is not a string; a repeated image id; text around the object) is
-    decoded again whole by ``decode_json_object``, as any JSON object
-    input is, so errors and the repeated-key rule come from that one
-    place.  The file is read once, so it may be a pipe.
+    value is not an array of strings.  The file is read by
+    :func:`read_annotations`, and every record's codes share one string per
+    distinct code.
 
     The load runs under ``collector_paused``, a process-wide pause, as it
     builds one long-lived record per image and no cycles; the collector is
     restored also when the load fails.
     """
     with collector_paused():
-        with reading(path, "annotations") as fh:
-            text = fh.read()
-        records = _load_pieces(text)
-        return _load_whole(path, text) if records is None else records
+        return read_annotations(path, _records)
 
 
-def _load_pieces(text: str) -> list[AnnotationRecord] | None:
-    """The records of annotation ``text``, decoded piece by piece; None
-    when the text is anything but one object of arrays of strings with
-    no repeated key, for the whole-file path to decode or reject."""
-    start = len(text) - len(text.lstrip(" \t\n\r"))
-    if not text.startswith("{", start):
-        return None
+def _records(pairs: _Pairs) -> list[AnnotationRecord]:
+    """One record per pair, one string per distinct code; raises
+    _HandOver when a code is no string or an image id repeats."""
     memo: dict[str, str] = {}
     share = memo.setdefault
-    records: list[AnnotationRecord] = []
-    seen: set[str] = set()
+    records = [AnnotationRecord(image_id, tuple(map(share, codes, codes)))
+               for image_id, codes in pairs]
+    # an object among the codes decodes as a tuple
+    if set(map(type, memo)) - {str} or \
+            len(set(map(_IMAGE_ID, records))) < len(records):
+        raise _HandOver
+    return records
+
+
+_IMAGE_ID = attrgetter("image_id")
+
+
+def read_annotations(path: str | Path,
+                     build: Callable[[_Pairs], _Built]) -> _Built:
+    """What ``build`` makes of the annotation JSON at ``path``.
+
+    ``build`` takes the (image id, list of codes) pairs of the top-level
+    object, in file order, and returns one entry per distinct image id; it
+    raises TypeError at a code that is not a string, as a string operation
+    on it does.  The text is read once and decoded in pieces of about
+    ``_PIECE`` characters, each cut just after a ``],`` and wrapped in
+    braces as an object of its own, so the whole decoded object never
+    exists at once: ``build`` gets each piece's pairs before the next
+    piece is decoded.  Text this fast path does not take (a piece that
+    does not decode, as when a string holds ``],``; a trailing comma; a
+    value that is not an array; a code that is not a string; a repeated
+    image id, which leaves ``build`` fewer entries than pairs; text around
+    the object) is decoded again whole by ``decode_json_object``, as any
+    JSON object input is, and ``build`` runs again from the start on its
+    pairs, so errors and the repeated-key rule come from that one place.
+    What the first ``build`` made is dropped.  The file is read once, so
+    it may be a pipe.
+    """
+    with reading(path, "annotations") as fh:
+        text = fh.read()
+    built = _read_pieces(text, build)
+    return build(_load_whole(path, text).items()) if built is None else built
+
+
+def _read_pieces(text: str,
+                 build: Callable[[_Pairs], _Built]) -> _Built | None:
+    """What ``build`` makes of annotation ``text`` read piece by piece;
+    None when the fast path hands the text to the whole-file path."""
+    members = 0
+
+    def counted() -> Iterator[_Piece]:
+        nonlocal members
+        for piece in _pieces(text):
+            members += len(piece[0])
+            yield piece
+            del piece  # before the next piece is decoded
+
+    try:
+        built = build(chain.from_iterable(starmap(zip, counted())))
+    except (_HandOver, TypeError):  # TypeError: a code that is no string
+        return None
+    return built if len(built) == members else None
+
+
+def _pieces(text: str) -> Iterator[_Piece]:
+    """The image ids and code lists of each piece of annotation ``text``;
+    raises _HandOver at the first piece the fast path does not take."""
+    start = len(text) - len(text.lstrip(" \t\n\r"))
+    if not text.startswith("{", start):
+        raise _HandOver
     a = start + 1  # where the next piece starts, past the "{" or a "],"
     while a:
         end = text.find("],", a + _PIECE)
@@ -338,34 +395,25 @@ def _load_pieces(text: str) -> list[AnnotationRecord] | None:
         try:
             pairs = _DECODE_PIECE(piece)
         except (ValueError, RecursionError):  # JSON or the int digit limit
-            return None
+            raise _HandOver from None
         del piece
         if not pairs:
             if not first:  # a trailing comma: "...],}"
-                return None
+                raise _HandOver
             continue
         ids, values = zip(*pairs)
-        if set(map(type, values)) != {list}:
-            return None
-        try:
-            codes = [tuple(map(share, v, v)) for v in values]
-        except TypeError:  # an array among the codes
-            return None
-        records += map(AnnotationRecord, ids, codes)
-        seen.update(ids)
-        del pairs, ids, values, codes  # before the next piece is decoded
-    # a repeated image id, or a code that is no string (as an object's tuple)
-    if len(seen) != len(records) or set(map(type, memo)) - {str}:
-        return None
-    return records
+        del pairs
+        if set(map(type, values)) != {list}:  # an object decodes as a tuple
+            raise _HandOver
+        yield ids, values
+        del ids, values  # before the next piece is decoded
 
 
-def _load_whole(path: str | Path, text: str) -> list[AnnotationRecord]:
-    """The records of annotation ``text``, read from ``path``, over the
-    whole decoded object: the reference path, and the source of every
-    error text."""
+def _load_whole(path: str | Path, text: str) -> dict[str, list[str]]:
+    """The image ids and code lists of annotation ``text``, read from
+    ``path``, over the whole decoded object: the reference path, and the
+    source of every error text."""
     data = decode_json_object(path, text)
-    records = []
     for image_id, codes in data.items():
         if not isinstance(codes, list):
             raise SchemaViolation(
@@ -376,5 +424,4 @@ def _load_whole(path: str | Path, text: str) -> list[AnnotationRecord]:
                 raise SchemaViolation(
                     f"{path}: non-string code under {image_id!r}"
                 )
-        records.append(AnnotationRecord(image_id, tuple(codes)))
-    return records
+    return data

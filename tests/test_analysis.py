@@ -254,6 +254,31 @@ class TestLengthStats:
         ]
 
 
+class _Tokens:
+    """The tokens of a caption that spells their number, by length only."""
+
+    def __init__(self, piece):
+        self.count = int(piece)
+
+    def __len__(self):
+        return self.count
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.integers(0, 40), st.integers(0, sys.maxsize)),
+                min_size=1, max_size=40))
+def test_length_mean_is_statistics_mean(lengths):
+    """The mean has ``statistics.mean``'s value and type: an int when the
+    count divides the total, else the correctly rounded float, also past
+    2**53 where a float cannot hold the total."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "tokenize", _Tokens)
+        mean = length_stats([str(n) for n in lengths])["mean"]
+    expected = statistics.mean(lengths)
+    assert type(mean) is type(expected)
+    assert mean == expected
+
+
 def train(*captions):
     return [CaptionRecord(f"t{i}", "", c, "train")
             for i, c in enumerate(captions)]

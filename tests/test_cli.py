@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -22,15 +23,24 @@ from hypothesis import strategies as st
 from iconcap import (
     CleaningConfig,
     CorrelateStore,
+    IconcapError,
     __version__,
     build_dataset,
     cli,
+    genre_distribution,
     load_annotations,
 )
-from iconcap.analysis import load_genre_csv
+from iconcap.analysis import join_genres, load_genre_csv
 from iconcap.captions import caption_rows
 from iconcap.cli import run
 from iconcap.jsonl import staged, write_captions
+from iconcap.metrics import load_caption_map
+from annotation_texts import (
+    HANDED_OVER,
+    TAKEN,
+    annotation_text,
+    pieces_of_one_member,
+)
 from synth import write_corpus
 
 
@@ -1146,6 +1156,42 @@ class TestAnalyze:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("table, message", [
+        # the quote opened on line 3 runs to the end of the file
+        ('image_id,genre\na,marine\n"b,landscape\nc,portrait\nd,portrait\n',
+         "line 5: unexpected end of data"),
+        ('image_id,genre\na,marine\nb,"land"scape\nc,portrait\n',
+         "line 3: ',' expected after '\"'"),
+    ], ids=["open_quote", "text_after_closing_quote"])
+    def test_genres_stray_quote_is_domain_error(self, tmp_path, capsys,
+                                                table, message):
+        captions = tmp_path / "caps.jsonl"
+        captions.write_text('{"image_id": "a", "caption": "sea."}\n'
+                            '{"image_id": "c", "caption": "ship."}\n')
+        genres = tmp_path / "genres.csv"
+        genres.write_text(table)
+        out = tmp_path / "dist.csv"
+        assert run(["analyze", "genres", "--captions", str(captions),
+                    "--genres", str(genres), "--out", str(out),
+                    "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"iconcap analyze: error: {genres}: {message}\n"
+        assert not out.exists()
+
+    def test_genres_table_error_comes_before_the_captions(self, tmp_path,
+                                                         capsys):
+        """The genre table is read first, so with both inputs malformed
+        its error is the one reported."""
+        captions = tmp_path / "caps.jsonl"
+        captions.write_text("not json\n")
+        genres = tmp_path / "genres.csv"
+        genres.write_text("image_id,genre\na,marine\na,portrait\n")
+        assert run(["analyze", "genres", "--captions", str(captions),
+                    "--genres", str(genres), "--out",
+                    str(tmp_path / "dist.csv"), "--quiet"]) == 1
+        assert f"{genres}: line 3: duplicate image id 'a'" in \
+            capsys.readouterr().err
+
 
 class TestEvalPresentation:
     def _files(self, tmp_path):
@@ -1793,3 +1839,207 @@ class TestRealStandardStreams:
             "iconcap parse: error: cannot write standard output: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_cli_import_loads_no_hashlib():
+    """Only split ranks ids by SHA-256, so importing the command line
+    loads no ``hashlib`` (and its libcrypto, about 3.6 MB)."""
+    package = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package, env.get("PYTHONPATH")]))
+    code = ("import sys; before = set(sys.modules); import iconcap.cli; "
+            "print('hashlib' in set(sys.modules) - before)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout == "False\n"
+
+
+# an open piece (73), a closed one with a stoplist run and ", etc." (11F)
+_STREAM_CORRELATES = "73\t(sea, ship\n11F\tking - BB - queen, etc.\n"
+
+
+def _cli_outcome(argv, out, report):
+    """What ``iconcap argv`` makes: its output bytes and report payload,
+    or its exit code and error text."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        status = run([*argv, "--out", str(out), "--report", str(report),
+                      "--quiet"])
+    if status:
+        return status, stderr.getvalue()
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    del payload["tool_version"], payload["config"]
+    return out.read_bytes(), payload
+
+
+def _cli_build(work, ann, tsv):
+    return _cli_outcome(["build", "--annotations", str(ann),
+                         "--correlates", str(tsv)],
+                        work / "records.jsonl", work / "report.json")
+
+
+def _public_build(ann, tsv):
+    """The build over the package's public functions, as the command line
+    reported it before it streamed its input."""
+    try:
+        records, report = build_dataset(load_annotations(ann),
+                                        CorrelateStore.from_tsv(tsv))
+    except IconcapError as exc:
+        return 1, f"iconcap build: error: {exc}\n"
+    buf = io.StringIO()
+    write_captions(buf, caption_rows(records))
+    return buf.getvalue().encode("utf-8"), report.as_dict()
+
+
+def _build_inputs(work, text):
+    ann, tsv = work / "ann.json", work / "corr.tsv"
+    ann.write_text(text, encoding="utf-8")
+    tsv.write_text(_STREAM_CORRELATES, encoding="utf-8")
+    return ann, tsv
+
+
+class TestStreamedBuild:
+    """``build`` turns each decoded piece into caption rows: the same
+    bytes and report as ``build_dataset(load_annotations(...))``, or the
+    same exit code and error text."""
+
+    @pytest.mark.parametrize(
+        "text", [*HANDED_OVER.values(), *TAKEN.values(),
+                 '{"a.jpg": ["73", "11F"], "b.jpg": ["11F"], "c.jpg": ["9"],'
+                 ' "d.jpg": ["73", "11F"], "e.jpg": []}'],
+        ids=[*HANDED_OVER, *TAKEN, "open_and_closed_pieces"])
+    def test_matches_the_public_path(self, tmp_path, text):
+        ann, tsv = _build_inputs(tmp_path, text)
+        with pieces_of_one_member():
+            assert _cli_build(tmp_path, ann, tsv) == _public_build(ann, tsv)
+
+    @settings(max_examples=200, deadline=None)
+    @given(annotation_text())
+    def test_matches_the_public_path_property(self, tmp_path_factory, text):
+        work = tmp_path_factory.mktemp("build")
+        ann, tsv = _build_inputs(work, text)
+        with pieces_of_one_member():
+            assert _cli_build(work, ann, tsv) == _public_build(ann, tsv)
+
+    def test_correlate_error_comes_before_the_annotations(self, tmp_path,
+                                                         capsys):
+        """The correlate table is read first, so with both inputs
+        malformed its error is the one reported."""
+        ann, tsv = _build_inputs(tmp_path, '{"a.jpg": 5}')
+        tsv.write_text("73 no tab\n", encoding="utf-8")
+        assert run(["build", "--annotations", str(ann), "--correlates",
+                    str(tsv), "--out", str(tmp_path / "o.jsonl"),
+                    "--quiet"]) == 1
+        assert capsys.readouterr().err == \
+            f"iconcap build: error: {tsv}: line 1 has no tab separator\n"
+
+
+_GENRE_IDS = ["a", "b", "c", "7", "d"]
+_caption_line = st.one_of(
+    st.builds(lambda image_id, caption: json.dumps(
+        {"image_id": image_id, "caption": caption}) + "\n",
+        st.sampled_from(_GENRE_IDS),
+        st.lists(st.sampled_from(["sea", " ship.", "", "sea."]),
+                 max_size=3).map(",".join)),
+    st.sampled_from(['{"image_id": 7, "caption": "sea"}\n', "\n", "[]\n",
+                     '{"image_id": "a"}\n', "{\n"]))
+_genre_line = st.one_of(
+    st.builds("{},{}\n".format, st.sampled_from(_GENRE_IDS),
+              st.sampled_from(["marine", " portrait ", ""])),
+    st.sampled_from(["image_id,genre\n", "x\n", '"b,marine\n',
+                     'c,"ma"rine\n', "\n"]))
+
+
+def _cli_genres(work, captions, genres, k, unit):
+    return _cli_outcome(["analyze", "genres", "--captions", str(captions),
+                         "--genres", str(genres), "--k", str(k),
+                         "--unit", unit],
+                        work / "dist.csv", work / "report.json")
+
+
+def _public_genres(captions, genres, k, unit):
+    """``analyze genres`` over the package's public functions, the genre
+    table read first, as the command line reads it."""
+    try:
+        table = load_genre_csv(genres)
+        records = join_genres(load_caption_map(captions), table)
+    except IconcapError as exc:
+        return 1, f"iconcap analyze: error: {exc}\n"
+    if not records:
+        return 1, (f"iconcap analyze: error: {captions}: no image id is "
+                   f"in {genres}\n")
+    distribution = genre_distribution(records, k, unit)
+    return distribution.to_csv().encode("utf-8"), {
+        "joined_records": len(records),
+        "phrases": len(distribution.phrases),
+        "genres": distribution.genres,
+    }
+
+
+class TestStreamedGenres:
+    """``analyze genres`` counts while it reads the captions: the same
+    bytes and report as ``join_genres`` and ``genre_distribution``, or the
+    same exit code and error text."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_caption_line, max_size=8),
+           st.lists(_genre_line, max_size=8), st.integers(1, 4),
+           st.sampled_from(["segment", "whole_caption"]))
+    def test_matches_the_public_path(self, tmp_path_factory, caption_lines,
+                                     genre_lines, k, unit):
+        work = tmp_path_factory.mktemp("genres")
+        captions, genres = work / "caps.jsonl", work / "genres.csv"
+        captions.write_text("".join(caption_lines), encoding="utf-8")
+        genres.write_text("".join(genre_lines), encoding="utf-8")
+        assert _cli_genres(work, captions, genres, k, unit) == \
+            _public_genres(captions, genres, k, unit)
+
+
+def _traced_peak(call):
+    """The traced Python heap's peak over ``call()``, above its start."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
+def test_streamed_stages_hold_less_than_the_public_path(tmp_path):
+    """``build`` and ``analyze genres`` peak below what the public
+    functions they match peak at (traced Python heap, 10,000 images over
+    60 codes; about 0.64 and 0.53 of it when measured)."""
+    ann, tsv = write_corpus(tmp_path, 10_000)
+    records = tmp_path / "records.jsonl"
+    genres = tmp_path / "genres.csv"
+    genres.write_text("image_id,genre\n" + "".join(
+        f"img{i:05}.jpg,{('marine', 'portrait', 'still life')[i % 3]}\n"
+        for i in range(10_000)), encoding="utf-8")
+
+    def build():
+        assert run(["build", "--annotations", str(ann), "--correlates",
+                    str(tsv), "--out", str(records), "--quiet"]) == 0
+
+    def public_build():
+        built, _ = build_dataset(load_annotations(ann),
+                                 CorrelateStore.from_tsv(tsv))
+        with staged([tmp_path / "public.jsonl"]) as (fh,):
+            write_captions(fh, caption_rows(built))
+
+    def analyze():
+        assert run(["analyze", "genres", "--captions", str(records),
+                    "--genres", str(genres), "--out",
+                    str(tmp_path / "dist.csv"), "--quiet"]) == 0
+
+    def public_analyze():
+        joined = join_genres(load_caption_map(records),
+                             load_genre_csv(genres))
+        genre_distribution(joined, 20).to_csv()
+
+    assert _traced_peak(build) <= 0.75 * _traced_peak(public_build)
+    assert records.read_bytes() == (tmp_path / "public.jsonl").read_bytes()
+    assert _traced_peak(analyze) <= 0.7 * _traced_peak(public_analyze)
